@@ -28,11 +28,12 @@ import math
 
 from . import special
 from .channel import DerivedParams, LinkParams, log_gain_pdf, watts_to_dbm
-from .errors import IntegrandError, NonConvergenceError
-from .quadrature import Tolerance, integrate
+from .errors import NonConvergenceError
+from .quadrature import POLE_ERROR, Tolerance, integrate
 
 _FOUR_OVER_PI = 4.0 / math.pi
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_LN2 = math.log(2.0)
 # beyond this the Gaussian detection factor underflows to zero anyway
 _U_CUTOFF = 40.0
 
@@ -176,13 +177,17 @@ def ber_approx_prev(
     Integrates, from h_hat upward, the product of the positive-branch
     asymptotic kernels for both erfc factors. In log-gain form the integrand is
 
-        (gamma^2 sigma_X / (sqrt(2) pi)) exp(-(v - beta/2)^2) exp(-u^2) / (u v),
+        prefactor exp(-(v - beta/2)^2) exp(-u^2) / (u v),
 
-    whose 1/v factor makes the lower endpoint logarithmically divergent. The
-    open quadrature rule never evaluates v = 0; when the endpoint's
-    contribution keeps the error estimate above tolerance within the
-    evaluation budget this raises :class:`NonConvergenceError` (regimes with
-    beta^2/4 large suppress the endpoint and converge cleanly).
+    with prefactor = gamma^2 sigma_X / (sqrt(2) pi). Near the lower endpoint it
+    behaves as K / v with K = prefactor exp(-beta^2/4 - u0^2) / u0 and
+    u0 = c h_hat, so the integral diverges logarithmically: each halving of a
+    lower cut-off adds K ln 2. The quadrature's error estimate on an endpoint
+    interval of K / v is POLE_ERROR * K (about 11.8 K ln 2) however narrow the
+    interval, so when that exceeds the tolerance target of the endpoint
+    segment, estimated by one rule, this raises :class:`NonConvergenceError`
+    without refining. Regimes with beta^2/4 or u0^2 large suppress K and
+    converge cleanly.
     """
     tol = tol or Tolerance()
     c = _snr_scale(p_watts, link)
@@ -196,20 +201,20 @@ def ber_approx_prev(
         t = v - 0.5 * b
         if t * t + u * u > 700.0:
             return 0.0
-        denom = u * v
-        if denom == 0.0:
-            return math.inf  # endpoint blow-up; reported as non-convergence below
-        return math.exp(-t * t - u * u) / denom
+        return math.exp(-t * t - u * u) / (u * v)
 
     lo, hi = _v_limits(d)
-    pts = [p for p in _v_breakpoints(d, c, lo, hi) if p >= 0.0]
-    if not pts or pts[0] != 0.0:
-        pts = [0.0] + pts
-    what = (
-        f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm "
-        "(integrand is log-divergent at its lower endpoint)"
-    )
-    try:
-        return prefactor * _integrate_segments(f, pts, tol, what)
-    except IntegrandError as exc:
-        raise NonConvergenceError(f"{what}: refinement reached the endpoint blow-up ({exc})") from exc
+    pts = [0.0] + [p for p in _v_breakpoints(d, c, lo, hi) if p > 0.0]
+    what = f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm"
+    u0 = _u_of_v(0.0, d, c)
+    k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 <= _U_CUTOFF else 0.0
+    endpoint_estimate = integrate(f, pts[0], pts[1], Tolerance(max_evaluations=15)).value
+    target = prefactor * tol.target(endpoint_estimate)
+    if k * POLE_ERROR > target:
+        raise NonConvergenceError(
+            f"{what}: the integrand is log-divergent at its lower endpoint; its K/v "
+            f"term adds K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off and "
+            f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
+            f"target {target:.3e}"
+        )
+    return prefactor * _integrate_segments(f, pts, tol, what)

@@ -26,7 +26,7 @@ from scipy.special import erfcx
 
 from .errors import GeometryError, RegimeError
 
-_SAMPLE_BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
+_BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -193,41 +193,44 @@ def pdf_h(h: float, d: DerivedParams) -> float:
     return log_gain_pdf(log_gain_of(h, d), d) / (h * d.log_gain_scale)
 
 
-def batch_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    """Deterministic per-batch seed sequences derived from one master seed."""
-    return np.random.SeedSequence(seed).spawn(count)
+def batch_generators(seed: int, n: int) -> list[tuple[np.random.Generator, int]]:
+    """Split ``n`` draws into fixed-size batches, each with its own generator.
+
+    Batch i draws from a generator seeded by the i-th child spawned from the
+    master seed, so the draws depend only on (seed, n), never on the order or
+    the thread in which the batches run.
+    """
+    if n < 1:
+        raise ValueError(f"draw count must be >= 1, got {n!r}")
+    children = np.random.SeedSequence(seed).spawn((n + _BATCH - 1) // _BATCH)
+    return [
+        (np.random.default_rng(child), min(_BATCH, n - i * _BATCH))
+        for i, child in enumerate(children)
+    ]
 
 
 def draw_gains(rng: np.random.Generator, d: DerivedParams, n: int) -> np.ndarray:
     """Draw ``n`` composite gains h = h_a h_p h_l from one generator.
 
-    h_a = exp(2 X) with X ~ N(-sigma_X^2, sigma_X^2), giving unit-mean fading;
-    h_p = A0 exp(-2 r^2 / omega_z_eq^2) with r the radial pointing offset,
-    drawn in the scale-free form A0 exp(-(x^2 + y^2) / (2 gamma^2)) with
-    x, y standard normal.
+    h_a = exp(2 sigma_X Z - 2 sigma_X^2) with Z standard normal, giving
+    unit-mean fading. h_p = A0 exp(-2 r^2 / omega_z_eq^2) with r the radial
+    pointing offset; r^2 / (2 sigma_s^2) = (x^2 + y^2) / 2 for standard normal
+    x, y is a standard exponential E, so h_p = A0 exp(-E / gamma^2). One
+    normal and one exponential draw per gain, combined in the log domain.
     """
-    x = rng.normal(-d.sigma_x_sq, math.sqrt(d.sigma_x_sq), n)
-    h_a = np.exp(2.0 * x)
-    xn = rng.standard_normal(n)
-    yn = rng.standard_normal(n)
-    h_p = d.a0 * np.exp(-(xn * xn + yn * yn) / (2.0 * d.gamma_sq))
-    return h_a * h_p * d.h_l
+    ln_h = rng.standard_normal(n)
+    ln_h *= 2.0 * math.sqrt(d.sigma_x_sq)
+    ln_h += math.log(d.a0_h_l) - 2.0 * d.sigma_x_sq
+    e = rng.standard_exponential(n)
+    e /= d.gamma_sq
+    ln_h -= e
+    return np.exp(ln_h, out=ln_h)
 
 
 def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` gain samples, bit-reproducible for a given (seed, n).
 
-    Samples are produced in fixed-size sub-batches seeded by spawning from the
-    master seed, so concurrent or out-of-order batch evaluation reproduces the
-    single-threaded sample set exactly.
+    These are exactly the gains :func:`fso_ber.montecarlo.mc_ber` draws for
+    ``trials = n`` and the same seed (see :func:`batch_generators`).
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n!r}")
-    n_batches = (n + _SAMPLE_BATCH - 1) // _SAMPLE_BATCH
-    seeds = batch_seeds(seed, n_batches)
-    out = np.empty(n)
-    for i, child in enumerate(seeds):
-        lo = i * _SAMPLE_BATCH
-        hi = min(lo + _SAMPLE_BATCH, n)
-        out[lo:hi] = draw_gains(np.random.default_rng(child), d, hi - lo)
-    return out
+    return np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(seed, n)])

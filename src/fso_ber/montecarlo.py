@@ -1,12 +1,15 @@
 """Monte Carlo BER oracle: OOK symbols through sampled channels plus noise.
 
-Each trial draws a composite gain, transmits an equiprobable symbol
-x in {0, 2P}, adds Gaussian detector noise, and applies the midpoint decision
-threshold eta P h (perfect channel knowledge), under which the analytic
-conditional BER (1/2) erfc(eta P h / sqrt(2 sigma_n^2)) is exact. Trials run
-in fixed-size sub-batches with seeds spawned from the master seed, so the
-estimate depends only on (seed, trials) regardless of execution order or
-parallelism width.
+Each trial draws a composite gain h, transmits an equiprobable symbol
+x in {0, 2P}, adds Gaussian detector noise n, and applies the midpoint
+decision threshold eta P h (perfect channel knowledge), under which the
+analytic conditional BER (1/2) erfc(eta P h / sqrt(2 sigma_n^2)) is exact.
+The symbol itself is not drawn: a 0 is misread when n > eta P h and a 2P
+when n < -eta P h, which for symmetric noise is the same event in
+distribution, so a trial errs exactly when n / sigma_n > (eta P / sigma_n) h.
+Trials run in the fixed-size batches of :func:`fso_ber.channel.batch_generators`,
+so the estimate depends only on (seed, trials) regardless of execution order
+or parallelism width.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedParams, LinkParams, batch_seeds, draw_gains
-
-_BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
+from .channel import DerivedParams, LinkParams, batch_generators, draw_gains
 
 # two-sided 99% normal quantile, Phi^-1(0.995); pinned and asserted in tests
 WILSON_Z99 = 2.5758293035489004
@@ -61,20 +62,6 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z99) -> tuple[fl
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _run_batch(child_seed, d, link, p_watts, n, gain_override):
-    rng = np.random.default_rng(child_seed)
-    if gain_override is None:
-        h = draw_gains(rng, d, n)
-    else:
-        h = np.full(n, float(gain_override))
-    bits = rng.integers(0, 2, n)
-    noise = rng.normal(0.0, link.noise_std, n)
-    eta = link.responsivity_a_per_w
-    y = eta * h * (2.0 * p_watts * bits) + noise
-    decided = y > eta * p_watts * h
-    return int(np.count_nonzero(decided != bits.astype(bool)))
-
-
 def mc_ber(
     p_watts: float,
     d: DerivedParams,
@@ -93,25 +80,26 @@ def mc_ber(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if p_watts <= 0:
-        raise ValueError(f"transmit power must be positive, got {p_watts!r}")
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    sizes = [min(_BATCH, trials - i * _BATCH) for i in range(n_batches)]
-    seeds = batch_seeds(seed, n_batches)
+    if not (p_watts > 0 and math.isfinite(p_watts)):
+        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
+    snr = link.responsivity_a_per_w * p_watts / link.noise_std
+    batches = batch_generators(seed, trials)
 
-    if workers > 1 and n_batches > 1:
+    def count_errors(batch) -> int:
+        """Errors in one batch: trials whose unit noise exceeds the margin snr * h."""
+        rng, n = batch
+        if gain_override is None:
+            margin = draw_gains(rng, d, n)
+            margin *= snr
+        else:
+            margin = snr * float(gain_override)
+        return int(np.count_nonzero(rng.standard_normal(n) > margin))
+
+    if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    _run_batch, seeds, [d] * n_batches, [link] * n_batches,
-                    [p_watts] * n_batches, sizes, [gain_override] * n_batches,
-                )
-            )
+            counts = list(pool.map(count_errors, batches))
     else:
-        counts = [
-            _run_batch(s, d, link, p_watts, n, gain_override)
-            for s, n in zip(seeds, sizes)
-        ]
+        counts = [count_errors(b) for b in batches]
 
     errors = sum(counts)  # order-insensitive reduction keeps the result width-invariant
     ci_low, ci_high = wilson_interval(errors, trials)

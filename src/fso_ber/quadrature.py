@@ -115,6 +115,11 @@ def _rule(f, a: float, b: float):
     return value, err, resabs
 
 
+# The rule's error estimate on [0, w] for 1/x, the same for every width w: the
+# floor that bisection toward a K/x endpoint pole cannot push below K * POLE_ERROR.
+POLE_ERROR = _rule(lambda x: 1.0 / x, 0.0, 1.0)[1]
+
+
 def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> QuadratureResult:
     """Integrate ``f`` over the finite interval [a, b].
 

@@ -5,6 +5,8 @@ import pytest
 import scipy.integrate
 
 from fso_ber import (
+    PRESETS,
+    LinkParams,
     NonConvergenceError,
     Tolerance,
     ber_approx_new,
@@ -12,6 +14,7 @@ from fso_ber import (
     ber_conditional,
     ber_exact,
     dbm_to_watts,
+    derive,
     mc_ber,
     truncation_bound,
 )
@@ -192,6 +195,33 @@ def test_approx_prev_endpoint_divergence_raises(links, deriveds):
     link, d = links["case1"], deriveds["case1"]
     with pytest.raises(NonConvergenceError):
         ber_approx_prev(dbm_to_watts(0.0), d, link)
+
+
+def test_approx_prev_endpoint_raise_is_cheap(links, deriveds, monkeypatch):
+    from fso_ber import quadrature
+
+    link, d = links["case1"], deriveds["case1"]
+    rules = [0]
+    rule = quadrature._rule
+
+    def counting(*args):
+        rules[0] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_rule", counting)
+    with pytest.raises(NonConvergenceError, match="K ln 2"):
+        ber_approx_prev(dbm_to_watts(0.0), d, link)
+    assert rules[0] <= 100
+
+
+def test_approx_prev_small_beta_raises_instead_of_overflowing():
+    # beta ~ 0.03: K/v dominates the whole endpoint segment, where refinement
+    # toward v = 0 would sum integrand values past the float range into inf
+    link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.2236, "rytov_variance": 1e-6})
+    d = derive(link)
+    assert d.beta < 0.05
+    with pytest.raises(NonConvergenceError):
+        ber_approx_prev(dbm_to_watts(-4.0), d, link)
 
 
 def test_split_kernel_continuity_at_branch_point():

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from fso_ber import (
     GeometryError,
@@ -20,7 +20,7 @@ from fso_ber import (
     truncation_bound,
     watts_to_dbm,
 )
-from fso_ber.channel import DerivedParams, gain_of, log_gain_of
+from fso_ber.channel import DerivedParams, draw_gains, gain_of, log_gain_of
 
 mp.mp.dps = 40
 
@@ -187,6 +187,31 @@ def test_sampling_spans_batches(deriveds):
     # leading batch is identical to a single-batch request
     head = sample_h(d, 1_000_000, seed=5)
     assert np.array_equal(full[:1_000_000], head)
+
+
+def _three_normal_gains(rng, d, n):
+    """The direct construction: X ~ N(-sigma_X^2, sigma_X^2) for the fading and
+    a radial offset from two standard normals for the pointing loss."""
+    x = rng.normal(-d.sigma_x_sq, math.sqrt(d.sigma_x_sq), n)
+    xn = rng.standard_normal(n)
+    yn = rng.standard_normal(n)
+    return np.exp(2.0 * x) * d.a0 * np.exp(-(xn * xn + yn * yn) / (2.0 * d.gamma_sq)) * d.h_l
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case3", "beta1e3"])
+def test_draw_gains_matches_three_normal_construction(case, deriveds):
+    if case == "beta1e3":
+        # rytov_variance 0.5 makes sqrt(8 sigma_X^2) = 1, so beta = gamma^2 = 1e3
+        omega = deriveds["case2"].omega_z_eq_m
+        d = derive(LinkParams(**{**PRESETS["case2"],
+                                 "pointing_std_m": omega / (2.0 * math.sqrt(1e3))}))
+        assert d.beta == pytest.approx(1e3, rel=1e-9)
+    else:
+        d = deriveds[case]
+    n = 200_000
+    fast = draw_gains(np.random.default_rng(2024), d, n)
+    direct = _three_normal_gains(np.random.default_rng(4202), d, n)
+    assert ks_2samp(fast, direct).pvalue > 0.01
 
 
 def _pinned_pointing(sigma_x_sq=0.025, gamma_sq=8.006161312523107):

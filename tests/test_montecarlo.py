@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import erfcinv
 
-from fso_ber import dbm_to_watts, fec_crossing, mc_ber, wilson_interval
+from fso_ber import dbm_to_watts, fec_crossing, mc_ber, sample_h, wilson_interval
+from fso_ber import montecarlo
 from fso_ber.ber import BerMethod
+from fso_ber.channel import draw_gains
 from fso_ber.montecarlo import WILSON_Z99
 
 
@@ -74,6 +78,34 @@ def test_pinned_gain_reproduces_conditional_ber(links, deriveds):
         assert est.ci_low <= expected <= est.ci_high
 
 
+def test_pinned_gain_error_counts_within_five_sigma(links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    p = 1e-3
+    trials = 1_000_000
+    for level in (1e-1, 1e-2, 1e-3):
+        # gain at which the conditional BER 0.5 erfc(c h) equals the level
+        h = float(erfcinv(2.0 * level)) * math.sqrt(2.0) * link.noise_std / (
+            link.responsivity_a_per_w * p)
+        est = mc_ber(p, d, link, trials=trials, seed=321, gain_override=h)
+        sigma = math.sqrt(trials * level * (1.0 - level))
+        assert abs(est.errors - trials * level) <= 5.0 * sigma, (level, est.errors)
+
+
+def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
+    link, d = links["case1"], deriveds["case1"]
+    drawn = []
+
+    def recording(rng, d, n):
+        h = draw_gains(rng, d, n)
+        drawn.append(h.copy())
+        return h
+
+    monkeypatch.setattr(montecarlo, "draw_gains", recording)
+    mc_ber(dbm_to_watts(0.0), d, link, trials=1_200_000, seed=5)
+    assert [h.size for h in drawn] == [1_000_000, 200_000]  # crosses the batch boundary
+    assert np.array_equal(np.concatenate(drawn), sample_h(d, 1_200_000, seed=5))
+
+
 def test_interval_coverage_across_seeds(links, deriveds):
     from fso_ber import ber_exact
 
@@ -106,3 +138,9 @@ def test_trial_validation(links, deriveds):
         mc_ber(1e-3, deriveds["case1"], links["case1"], trials=0, seed=1)
     with pytest.raises(ValueError):
         mc_ber(0.0, deriveds["case1"], links["case1"], trials=100, seed=1)
+
+
+@pytest.mark.parametrize("p_watts", [math.nan, math.inf, -math.inf])
+def test_non_finite_power_rejected(p_watts, links, deriveds):
+    with pytest.raises(ValueError, match="finite"):
+        mc_ber(p_watts, deriveds["case1"], links["case1"], trials=100, seed=1)
