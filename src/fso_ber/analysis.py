@@ -57,8 +57,10 @@ def power_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _annotated(exc: Exception, method: BerMethod, p_dbm: float) -> Exception:
-    return type(exc)(f"{method.value} failed at P = {p_dbm:g} dBm: {exc}")
+def _annotate(exc: Exception, method: BerMethod, p_dbm: float) -> None:
+    """Prefix the message with the method and power, in place, so the exception
+    keeps its type, attributes and traceback whatever its constructor takes."""
+    exc.args = (f"{method.value} failed at P = {p_dbm:g} dBm: {exc}",)
 
 
 def sweep(
@@ -72,9 +74,11 @@ def sweep(
 ) -> list[BerCurve]:
     """One BER curve per requested method over a uniform dBm grid.
 
-    Analytic methods are evaluated at every grid point; Monte Carlo runs at
-    every grid point with per-point seeds spawned deterministically from the
-    master seed, so results do not depend on evaluation order or worker count.
+    Analytic methods are evaluated at every grid point, serially: they are
+    pure Python, which threads cannot run in parallel. Monte Carlo runs at
+    every grid point on ``workers`` threads, with per-point seeds spawned
+    deterministically from the master seed, so results do not depend on
+    evaluation order or worker count.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
@@ -103,27 +107,23 @@ def sweep(
                 p = grid[i]
                 return BerPoint(p, fn(dbm_to_watts(p), d, link, tol))
 
-            points = _map_indexed(eval_analytic, len(grid), workers, method, grid)
+            points = _map_indexed(eval_analytic, len(grid), 1, method, grid)
         curves.append(BerCurve(method, tuple(points)))
     return curves
 
 
 def _map_indexed(fn, n: int, workers: int, method: BerMethod, grid: list[float]):
-    results = [None] * n
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, i) for i in range(n)]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                raise _annotated(exc, method, grid[i]) from exc
-    else:
-        for i in range(n):
-            try:
-                results[i] = fn(i)
-            except Exception as exc:
-                raise _annotated(exc, method, grid[i]) from exc
+        fn = lambda i: futures[i].result()  # noqa: E731
+    results = [None] * n
+    for i in range(n):
+        try:
+            results[i] = fn(i)
+        except Exception as exc:
+            _annotate(exc, method, grid[i])
+            raise
     return results
 
 

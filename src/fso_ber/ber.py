@@ -19,20 +19,26 @@ point h_hat maps to v = 0 and the truncation bound to v = beta/2 + 6. Direct
 gain-space quadrature is numerically untrustworthy here: for strong-turbulence
 presets the integrand mass occupies a ~1e-3 relative sliver of the domain that
 low-order panel rules can miss entirely, converging confidently to nonsense.
+
+The three analytic averages are one integrand,
+
+    0.5 E(u) (beta/2) exp(beta v - beta^2/4) E(v),   u = c h(v),
+
+with the method's erfc stand-in E substituted for both erfc factors (see the
+kernel pairs in :mod:`fso_ber.special`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 
-from . import special
-from .channel import DerivedParams, LinkParams, log_gain_pdf, watts_to_dbm
+from .channel import DerivedParams, LinkParams, log_gain_density, watts_to_dbm
 from .errors import NonConvergenceError
 from .quadrature import POLE_ERROR, Tolerance, integrate
+from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel, erfc
 
-_FOUR_OVER_PI = 4.0 / math.pi
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _LN2 = math.log(2.0)
 # beyond this the Gaussian detection factor underflows to zero anyway
 _U_CUTOFF = 40.0
@@ -62,13 +68,29 @@ def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams
     """BER for a known channel gain h under midpoint-threshold detection."""
     if h < 0:
         raise ValueError(f"channel gain must be >= 0, got {h!r}")
-    return 0.5 * special.erfc(_snr_scale(p_watts, link) * h)
+    return 0.5 * erfc(_snr_scale(p_watts, link) * h)
 
 
-def _u_of_v(v: float, d: DerivedParams, c: float) -> float:
-    """Detection argument u = c * h(v); inf when the exponent would overflow."""
-    ln_u = math.log(c * d.a0_h_l) + d.log_gain_scale * v - d.mu
-    return math.exp(ln_u) if ln_u < 300.0 else math.inf
+def _integrand(kernel: Kernel, c: float, d: DerivedParams):
+    """v-space BER integrand 0.5 E(u) (beta/2) D_E(v) of one kernel pair."""
+    e, e_x = kernel
+    ln_c = math.log(c * d.a0_h_l)
+    s = d.log_gain_scale
+    mu = d.mu
+    b = d.beta
+
+    def f(v: float) -> float:
+        ln_u = ln_c + s * v - mu
+        u = math.exp(ln_u) if ln_u < 300.0 else math.inf
+        if u > _U_CUTOFF:
+            return 0.0
+        density = log_gain_density(v, b, e, e_x)
+        if density == 0.0:
+            # a kernel that grows as u -> 0 must not turn 0 into inf * 0
+            return 0.0
+        return 0.5 * e(u) * density
+
+    return f
 
 
 def _v_limits(d: DerivedParams) -> tuple[float, float]:
@@ -104,31 +126,24 @@ def _integrate_segments(f, pts: list[float], tol: Tolerance, what: str) -> float
     return total
 
 
+def _ber_average(
+    kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams,
+    tol: Tolerance | None, what: str,
+) -> float:
+    """The kernel pair's BER integrand integrated over the whole v window."""
+    c = _snr_scale(p_watts, link)
+    lo, hi = _v_limits(d)
+    return _integrate_segments(
+        _integrand(kernel, c, d), _v_breakpoints(d, c, lo, hi), tol or Tolerance(),
+        f"{what} at {watts_to_dbm(p_watts):.3f} dBm",
+    )
+
+
 def ber_exact(
     p_watts: float, d: DerivedParams, link: LinkParams, tol: Tolerance | None = None
 ) -> float:
     """Exact average BER: the conditional BER integrated against the gain density."""
-    tol = tol or Tolerance()
-    c = _snr_scale(p_watts, link)
-
-    def f(v: float) -> float:
-        u = _u_of_v(v, d, c)
-        if u > _U_CUTOFF:
-            return 0.0
-        return 0.5 * special.erfc(u) * log_gain_pdf(v, d)
-
-    lo, hi = _v_limits(d)
-    return _integrate_segments(
-        f, _v_breakpoints(d, c, lo, hi), tol,
-        f"exact BER at {watts_to_dbm(p_watts):.3f} dBm",
-    )
-
-
-def _detection_kernel(u: float) -> float:
-    """exp(-u^2) / (u + sqrt(u^2 + 4/pi)); the u >= 0 approximation kernel."""
-    if u > _U_CUTOFF:
-        return 0.0
-    return math.exp(-u * u) / (u + math.sqrt(u * u + _FOUR_OVER_PI))
+    return _ber_average(EXACT_KERNEL, p_watts, d, link, tol, "exact BER")
 
 
 def ber_approx_new(
@@ -141,32 +156,7 @@ def ber_approx_new(
     two branches agree (both equal 1), so the integrand is continuous across
     the split.
     """
-    tol = tol or Tolerance()
-    c = _snr_scale(p_watts, link)
-    b = d.beta
-
-    def f(v: float) -> float:
-        ku = 0.5 * _TWO_OVER_SQRT_PI * _detection_kernel(_u_of_v(v, d, c))
-        if ku == 0.0:
-            return 0.0
-        if v >= 0.0:
-            t = v - 0.5 * b
-            density = (
-                0.5 * b * _TWO_OVER_SQRT_PI * math.exp(-t * t)
-                / (v + math.sqrt(v * v + _FOUR_OVER_PI))
-            )
-        else:
-            exponent = b * v - 0.25 * b * b
-            if exponent < -700.0:
-                return 0.0
-            density = 0.5 * b * math.exp(exponent) * special.erfc_approx(v)
-        return ku * density
-
-    lo, hi = _v_limits(d)
-    return _integrate_segments(
-        f, _v_breakpoints(d, c, lo, hi), tol,
-        f"split-kernel BER at {watts_to_dbm(p_watts):.3f} dBm",
-    )
+    return _ber_average(APPROX_KERNEL, p_watts, d, link, tol, "split-kernel BER")
 
 
 def ber_approx_prev(
@@ -177,39 +167,34 @@ def ber_approx_prev(
     Integrates, from h_hat upward, the product of the positive-branch
     asymptotic kernels for both erfc factors. In log-gain form the integrand is
 
-        prefactor exp(-(v - beta/2)^2) exp(-u^2) / (u v),
+        (beta / (4 pi)) exp(-(v - beta/2)^2) exp(-u^2) / (u v),
 
-    with prefactor = gamma^2 sigma_X / (sqrt(2) pi). Near the lower endpoint it
-    behaves as K / v with K = prefactor exp(-beta^2/4 - u0^2) / u0 and
-    u0 = c h_hat, so the integral diverges logarithmically: each halving of a
-    lower cut-off adds K ln 2. The quadrature's error estimate on an endpoint
-    interval of K / v is POLE_ERROR * K (about 11.8 K ln 2) however narrow the
-    interval, so when that exceeds the tolerance target of the endpoint
-    segment, estimated by one rule, this raises :class:`NonConvergenceError`
-    without refining. Regimes with beta^2/4 or u0^2 large suppress K and
-    converge cleanly.
+    the shared integrand with the asymptotic kernel pair; beta / (4 pi) equals
+    the printed prefactor gamma^2 sigma_X / (sqrt(2) pi). Near the lower
+    endpoint it behaves as K / v with K = (beta / (4 pi)) exp(-beta^2/4 - u0^2)
+    / u0 and u0 = c h_hat, so the integral diverges logarithmically: each
+    halving of a lower cut-off adds K ln 2. The quadrature's error estimate on
+    an endpoint interval of K / v is POLE_ERROR * K (about 11.8 K ln 2) however
+    narrow the interval, so when that exceeds the tolerance target of the
+    endpoint segment, estimated by one rule, this raises
+    :class:`NonConvergenceError` without refining. Regimes with beta^2/4 or
+    u0^2 large suppress K and converge cleanly.
     """
     tol = tol or Tolerance()
     c = _snr_scale(p_watts, link)
     b = d.beta
-    prefactor = d.gamma_sq * math.sqrt(d.sigma_x_sq) / (math.sqrt(2.0) * math.pi)
-
-    def f(v: float) -> float:
-        u = _u_of_v(v, d, c)
-        if u > _U_CUTOFF or u <= 0.0:
-            return 0.0
-        t = v - 0.5 * b
-        if t * t + u * u > 700.0:
-            return 0.0
-        return math.exp(-t * t - u * u) / (u * v)
+    prefactor = b / (4.0 * math.pi)
+    # abs_tol bounds the integral without its prefactor, as the printed form has it
+    tol = replace(tol, abs_tol=tol.abs_tol * prefactor)
+    f = _integrand(ASYMPTOTIC_KERNEL, c, d)
 
     lo, hi = _v_limits(d)
     pts = [0.0] + [p for p in _v_breakpoints(d, c, lo, hi) if p > 0.0]
     what = f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm"
-    u0 = _u_of_v(0.0, d, c)
+    u0 = c * d.h_hat
     k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 <= _U_CUTOFF else 0.0
-    endpoint_estimate = integrate(f, pts[0], pts[1], Tolerance(max_evaluations=15)).value
-    target = prefactor * tol.target(endpoint_estimate)
+    endpoint_estimate = integrate(f, pts[0], pts[1], replace(tol, max_evaluations=15)).value
+    target = tol.target(endpoint_estimate)
     if k * POLE_ERROR > target:
         raise NonConvergenceError(
             f"{what}: the integrand is log-divergent at its lower endpoint; its K/v "
@@ -217,4 +202,4 @@ def ber_approx_prev(
             f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
             f"target {target:.3e}"
         )
-    return prefactor * _integrate_segments(f, pts, tol, what)
+    return _integrate_segments(f, pts, tol, what)

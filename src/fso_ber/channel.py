@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import GeometryError, RegimeError
+from .special import EXACT_KERNEL
 
 _BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
 
@@ -170,20 +170,26 @@ def gain_of(v: float, d: DerivedParams) -> float:
     return d.a0_h_l * math.exp(d.log_gain_scale * v - d.mu)
 
 
-def log_gain_pdf(v: float, d: DerivedParams) -> float:
-    """Density of the normalized log-gain, (beta/2) exp(beta v - beta^2/4) erfc(v).
+def log_gain_density(v: float, b: float, e, e_x) -> float:
+    """(b/2) exp(b v - b^2/4) E(v): the log-gain density with erfc replaced by
+    the stand-in E of a kernel pair (E, E_x), see :mod:`fso_ber.special`.
 
-    Evaluated through erfcx for v >= 0 so the Gaussian factors combine into
-    exp(-(v - beta/2)^2) and nothing overflows however large beta gets.
+    Evaluated through E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian
+    factors combine into exp(-(v - b/2)^2) and nothing overflows however large
+    b gets.
     """
-    b = d.beta
     if v >= 0.0:
         t = v - 0.5 * b
-        return 0.5 * b * erfcx(v) * math.exp(-t * t)
+        return 0.5 * b * e_x(v) * math.exp(-t * t)
     exponent = b * v - 0.25 * b * b
     if exponent < -700.0:
         return 0.0
-    return 0.5 * b * math.erfc(v) * math.exp(exponent)
+    return 0.5 * b * e(v) * math.exp(exponent)
+
+
+def log_gain_pdf(v: float, d: DerivedParams) -> float:
+    """Density of the normalized log-gain, (beta/2) exp(beta v - beta^2/4) erfc(v)."""
+    return log_gain_density(v, d.beta, *EXACT_KERNEL)
 
 
 def pdf_h(h: float, d: DerivedParams) -> float:

@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fec-threshold", type=float, metavar="X", help="BER threshold for crossings.")
     p_run.add_argument("--out", metavar="DIR", help="Output directory (default fso-ber-out).")
     p_run.add_argument("--workers", type=int, metavar="N",
-                       help="Parallel evaluation width; results are identical for any value.")
+                       help="Parallel width for Monte Carlo points; analytic sweeps run "
+                            "serially. Results are identical for any value.")
     return parser
 
 

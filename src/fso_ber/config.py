@@ -70,6 +70,8 @@ class RunConfig:
             problems.append(f"mc_trials: must be >= 1 (got {self.mc_trials!r})")
         if not (0.0 < self.fec_threshold < 0.5):
             problems.append(f"fec_threshold: must be in (0, 0.5) (got {self.fec_threshold!r})")
+        if self.seed < 0:
+            problems.append(f"seed: must be >= 0 (got {self.seed!r})")
         if self.workers < 1:
             problems.append(f"workers: must be >= 1 (got {self.workers!r})")
         if not self.output_path:

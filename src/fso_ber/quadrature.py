@@ -45,6 +45,9 @@ _WG = (
 )
 
 _EPS = math.ulp(1.0)
+# QUADPACK dqage's iroff2 limits on bisections that raise the error (see integrate)
+_GROWING_AFTER = 10
+_GROWING_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,15 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     """Integrate ``f`` over the finite interval [a, b].
 
     Subdivision stops once the summed error estimate satisfies
-    ``error <= max(rel_tol * |value|, abs_tol)`` (converged) or the evaluation
-    budget runs out (``converged=False``; the partial value and its estimate
-    are still returned so the caller can decide). A non-finite integrand value
-    raises :class:`~fso_ber.errors.IntegrandError` naming the abscissa.
+    ``error <= max(rel_tol * |value|, abs_tol)`` (converged), or with
+    ``converged=False`` when the evaluation budget runs out or when bisection
+    stops reducing the error: after the first ``_GROWING_AFTER`` bisections,
+    ``_GROWING_LIMIT`` bisections whose two halves' summed error exceeds the
+    error of the interval they split (QUADPACK dqage's ``iroff2`` test; a
+    non-integrable endpoint pole K/x keeps its error at K * POLE_ERROR on every
+    halving). The partial value and its estimate are still returned so the
+    caller can decide. A non-finite integrand value raises
+    :class:`~fso_ber.errors.IntegrandError` naming the abscissa.
     """
     if tol is None:
         tol = Tolerance()
@@ -149,9 +157,11 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     heap = [(-err, counter, a, b, value, err)]
     total_value = value
     total_error = err
+    bisections = 0
+    growing = 0
 
     while total_error > tol.target(total_value):
-        if evaluations + 30 > tol.max_evaluations or not heap:
+        if evaluations + 30 > tol.max_evaluations or not heap or growing >= _GROWING_LIMIT:
             return QuadratureResult(total_value, total_error, evaluations, False)
         _, _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)
@@ -161,6 +171,9 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
         lval, lerr, _ = _rule(checked, ia, mid)
         rval, rerr, _ = _rule(checked, mid, ib)
         evaluations += 30
+        bisections += 1
+        if bisections > _GROWING_AFTER and lerr + rerr > ierr:
+            growing += 1
         total_value += (lval + rval) - ival
         total_error += (lerr + rerr) - ierr
         counter += 1

@@ -4,6 +4,7 @@ import pytest
 
 from fso_ber import (
     BracketError,
+    IntegrandError,
     McConfig,
     NonConvergenceError,
     NonMonotoneError,
@@ -65,6 +66,34 @@ def test_sweep_annotates_failing_power_point(links, deriveds):
     link, d = links["case1"], deriveds["case1"]
     with pytest.raises(NonConvergenceError, match=r"-4 dBm"):
         sweep({BerMethod.APPROX_PREV}, (-4.0, 0.0, 1.0), d, link)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_sweep_annotation_keeps_the_exception(monkeypatch, links, deriveds, workers):
+    # IntegrandError's constructor takes (abscissa, value), not a message
+    def failing(p_watts, d, link, tol=None):
+        if p_watts > dbm_to_watts(-1.0):
+            raise IntegrandError(0.25, math.nan)
+        return 0.1
+
+    monkeypatch.setitem(_ANALYTIC, BerMethod.APPROX_NEW, failing)
+    with pytest.raises(IntegrandError, match=r"^approx-new failed at P = 0 dBm: ") as excinfo:
+        sweep({BerMethod.APPROX_NEW}, (-4.0, 2.0, 2.0), deriveds["case1"], links["case1"],
+              workers=workers)
+    assert excinfo.value.abscissa == 0.25
+    assert "x = 0.25" in str(excinfo.value)
+
+
+def test_analytic_sweep_starts_no_thread(monkeypatch, links, deriveds):
+    from fso_ber import analysis
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("analytic sweep started a thread pool")
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    curves = sweep({BerMethod.EXACT, BerMethod.APPROX_NEW}, (-4.0, 0.0, 2.0),
+                   deriveds["case1"], links["case1"], workers=2)
+    assert [len(c.points) for c in curves] == [3, 3]
 
 
 def test_sweep_mc_requires_config(links, deriveds):

@@ -229,3 +229,96 @@ def test_split_kernel_continuity_at_branch_point():
 
     # both branches reduce to 1 at the split, so the integrand is continuous there
     assert erfc_approx(1e-12) == pytest.approx(erfc_approx(-1e-12), abs=1e-11)
+
+
+# (preset, dBm) -> float hex of ber_exact, ber_approx_new, ber_approx_prev (None
+# where it raises). exact must reproduce these bit for bit; the approximations
+# may move in the last digits with the rounding of their kernels.
+PINNED = {
+    ("case1", -2.0): ("0x1.4d7d64d063dd7p-7", "0x1.6a5f77438cc9ap-7", None),
+    ("case1", 4.0): ("0x1.8c5de86a1ae09p-20", "0x1.98e330aa975b7p-20", None),
+    ("case1", 10.0): ("0x1.9f947458e927cp-36", "0x1.ad4281cb4512ap-36", "0x1.3ad7a227549e0p-406"),
+    ("case2", -2.0): ("0x1.6e620ad3595f0p-5", "0x1.8334ca959f511p-5", "0x1.32a22fc610cbfp-4"),
+    ("case2", 4.0): ("0x1.01713c898cd44p-10", "0x1.0eee6ddb01544p-10", "0x1.588745d8b375fp-10"),
+    ("case2", 10.0): ("0x1.72829bef98b8fp-20", "0x1.83c0edf7e8ba2p-20", "0x1.c3e62bd199fa3p-20"),
+    ("case3", -2.0): ("0x1.47b692b4e8148p-4", "0x1.586a6cfc82067p-4", "0x1.640918e520709p-3"),
+    ("case3", 4.0): ("0x1.ce5f0f035b09cp-8", "0x1.e69fc83e6bd30p-8", "0x1.6feb6aa762909p-7"),
+    ("case3", 10.0): ("0x1.18c204dbc336ap-13", "0x1.26844e6b92d56p-13", "0x1.7ec5e9493c6fbp-13"),
+}
+
+
+@pytest.mark.parametrize("case, p_dbm", sorted(PINNED))
+def test_pinned_values(case, p_dbm, links, deriveds):
+    link, d = links[case], deriveds[case]
+    p = dbm_to_watts(p_dbm)
+    exact, new, prev = (None if x is None else float.fromhex(x) for x in PINNED[case, p_dbm])
+    assert float(ber_exact(p, d, link)).hex() == exact.hex()
+    assert ber_approx_new(p, d, link) == pytest.approx(new, rel=1e-13, abs=0.0)
+    if prev is None:
+        with pytest.raises(NonConvergenceError):
+            ber_approx_prev(p, d, link)
+    else:
+        assert ber_approx_prev(p, d, link) == pytest.approx(prev, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ("case2", "case3"))
+@pytest.mark.parametrize("p_dbm", (-2.0, 4.0, 10.0))
+def test_approx_prev_matches_printed_legacy_integral(case, p_dbm, links, deriveds):
+    """The legacy integral as printed, with prefactor beta / (4 pi) in place of
+    gamma^2 sigma_X / (sqrt(2) pi), by scipy quadrature over [0, beta/2 + 40],
+    past which exp(-(v - beta/2)^2) is below the smallest float."""
+    link, d = links[case], deriveds[case]
+    p = dbm_to_watts(p_dbm)
+    b = d.gamma_sq * math.sqrt(8.0 * d.sigma_x_sq)
+    assert b / (4.0 * math.pi) == pytest.approx(
+        d.gamma_sq * math.sqrt(d.sigma_x_sq) / (math.sqrt(2.0) * math.pi), rel=1e-15)
+    c = link.responsivity_a_per_w * p / math.sqrt(2.0 * link.noise_std**2)
+    s8 = math.sqrt(8.0 * d.sigma_x_sq)
+
+    def legacy(v):
+        u = c * d.a0 * d.h_l * math.exp(s8 * v - d.mu)
+        return math.exp(-(v - 0.5 * b) ** 2 - u * u) / (u * v)
+
+    ref = b / (4.0 * math.pi) * (
+        scipy.integrate.quad(legacy, 0.0, 0.5 * b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+        + scipy.integrate.quad(legacy, 0.5 * b, 0.5 * b + 40.0, epsabs=0.0, epsrel=1e-12,
+                               limit=500)[0]
+    )
+    assert ber_approx_prev(p, d, link) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("p_dbm, expected", [(-30.0, 198.39083031544146),
+                                             (6.0, 0.004722417111999788)])
+def test_approx_prev_at_large_beta(p_dbm, expected):
+    # beta ~ 1.5e3. At -30 dBm, near v = 0 the legacy 1/u overflows to inf where
+    # the density exp(-(v - beta/2)^2) underflows to 0; the integrand is 0
+    # there, not inf * 0 = nan. Far below any useful power the legacy kernel's
+    # 1/u makes the value exceed 0.5. At 6 dBm abs_tol applies to the integral
+    # without its beta / (4 pi) prefactor, as in the printed form: applied to
+    # the prefactored integral it refines further and moves the value by 6e-3
+    # relative, since the integral's value follows how far refinement goes.
+    link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.03, "rytov_variance": 1.0})
+    d = derive(link)
+    assert d.beta > 1e3
+    assert ber_approx_prev(dbm_to_watts(p_dbm), d, link) == pytest.approx(expected, rel=1e-13)
+
+
+def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
+    # a link past the K check whose endpoint segment still refines toward a pole:
+    # bisection stops once the error keeps growing, long before the abscissa
+    # reaches the subnormal range where the integrand overflows
+    from fso_ber import quadrature
+
+    link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.235, "rytov_variance": 0.26})
+    d = derive(link)
+    rules = [0]
+    rule = quadrature._rule
+
+    def counting(*args):
+        rules[0] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_rule", counting)
+    with pytest.raises(NonConvergenceError, match=r"segment \[0, "):
+        ber_approx_prev(dbm_to_watts(-2.0), d, link)
+    assert rules[0] <= 100

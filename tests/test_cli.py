@@ -147,3 +147,18 @@ def test_cli_bad_method_exit_code(capsys):
     code = main(["run", "--preset", "case1", "--methods", "nope"])
     assert code == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError("run started with an invalid seed")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", "--methods", "exact,mc", "--seed", "-1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

@@ -144,5 +144,7 @@ def test_runconfig_validation():
         RunConfig(link=link, methods=())
     with pytest.raises(ConfigError, match="workers"):
         RunConfig(link=link, workers=0)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(link=link, seed=-1)
     with pytest.raises(ConfigError, match="sweep"):
         RunConfig(link=link, sweep=(4.0, -4.0, 0.5))

@@ -6,6 +6,7 @@ import scipy.integrate
 
 from fso_ber import IntegrandError, Tolerance, integrate, truncation_bound
 from fso_ber.channel import DerivedParams
+from fso_ber.quadrature import POLE_ERROR
 
 
 def test_constant_integrand():
@@ -102,6 +103,22 @@ def test_budget_exhaustion_returns_unconverged():
                     Tolerance(rel_tol=1e-12, max_evaluations=300))
     assert not res.converged
     assert res.evaluations <= 300
+
+
+def test_non_integrable_pole_stops_when_error_stops_shrinking():
+    # each halving toward the pole keeps the endpoint interval's error at
+    # POLE_ERROR; 10 free bisections plus 20 growing ones, one rule plus two each
+    res = integrate(lambda x: 1.0 / x, 0.0, 1.0)
+    assert not res.converged
+    assert res.evaluations == 15 * (1 + 2 * 30)
+    assert res.error_estimate == pytest.approx(POLE_ERROR, rel=1e-9)
+
+
+@pytest.mark.parametrize("f, exact", [(lambda x: x**-0.5, 2.0), (math.log, -1.0)])
+def test_integrable_endpoint_singularities_still_converge(f, exact):
+    res = integrate(f, 0.0, 1.0)
+    assert res.converged
+    assert res.value == pytest.approx(exact, rel=1e-8)
 
 
 def test_invalid_limits_rejected():
