@@ -25,9 +25,9 @@ from .errors import (
     RegimeError,
 )
 from .montecarlo import McConfig, McEstimate, mc_ber, wilson_interval
-from .quadrature import QuadratureResult, Tolerance, integrate, truncation_bound
+from .quadrature import QuadratureResult, Tolerance, integrate
 from .runner import RunArtifacts, run
-from .special import erfc, erfc_approx
+from .special import erfc_approx
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "NonMonotoneError", "PRESETS", "QuadratureResult", "RegimeError",
     "RunArtifacts", "RunConfig", "Tolerance",
     "ber_approx_new", "ber_approx_prev", "ber_conditional", "ber_exact",
-    "dbm_to_watts", "delta", "derive", "erfc", "erfc_approx", "fec_crossing",
+    "dbm_to_watts", "delta", "derive", "erfc_approx", "fec_crossing",
     "integrate", "load_config", "log_gain_pdf", "mc_ber", "pdf_h", "run",
-    "sample_h", "sweep", "truncation_bound", "watts_to_dbm", "wilson_interval",
+    "sample_h", "sweep", "watts_to_dbm", "wilson_interval",
 ]

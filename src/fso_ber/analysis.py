@@ -12,7 +12,6 @@ from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
 from .errors import BracketError, NonMonotoneError
 from .montecarlo import McConfig, McEstimate, mc_ber
-from .quadrature import Tolerance
 
 _ANALYTIC = {
     BerMethod.EXACT: ber_exact,
@@ -23,6 +22,8 @@ _ANALYTIC = {
 # auto-expansion limits for crossing brackets, dBm
 _P_FLOOR = -20.0
 _P_CEIL = 30.0
+# crossing bisection stops once the bracket is narrower than this, dB
+_RESOLUTION_DB = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ def sweep(
     p_range_dbm: tuple[float, float, float],
     d: DerivedParams,
     link: LinkParams,
-    tol: Tolerance | None = None,
     mc: McConfig | None = None,
     workers: int = 1,
 ) -> list[BerCurve]:
@@ -105,7 +105,7 @@ def sweep(
 
             def eval_analytic(i: int, fn=fn) -> BerPoint:
                 p = grid[i]
-                return BerPoint(p, fn(dbm_to_watts(p), d, link, tol))
+                return BerPoint(p, fn(dbm_to_watts(p), d, link))
 
             points = _map_indexed(eval_analytic, len(grid), 1, method, grid)
         curves.append(BerCurve(method, tuple(points)))
@@ -132,14 +132,12 @@ def fec_crossing(
     threshold: float,
     d: DerivedParams,
     link: LinkParams,
-    tol: Tolerance | None = None,
-    resolution_db: float = 1e-3,
 ) -> CrossingReport:
     """Transmit power at which the method's BER falls to ``threshold``.
 
-    Bisects on dBm over an auto-expanded bracket, relying on BER decreasing
-    monotonically with power; a non-monotone sample pattern aborts with a
-    diagnostic rather than returning a bogus root.
+    Bisects on dBm over an auto-expanded bracket down to ``_RESOLUTION_DB``,
+    relying on BER decreasing monotonically with power; a non-monotone sample
+    pattern aborts with a diagnostic rather than returning a bogus root.
     """
     if not (0.0 < threshold < 0.5):
         raise ValueError(f"threshold must be in (0, 0.5), got {threshold!r}")
@@ -151,7 +149,7 @@ def fec_crossing(
 
     def ber_at(p: float) -> float:
         if p not in cache:
-            cache[p] = fn(dbm_to_watts(p), d, link, tol)
+            cache[p] = fn(dbm_to_watts(p), d, link)
         return cache[p]
 
     lo, hi = -4.0, 16.0
@@ -178,7 +176,7 @@ def fec_crossing(
                 f"{p1:g} dBm ({b1:.6e}) and {p2:g} dBm ({b2:.6e})"
             )
 
-    while hi - lo > resolution_db:
+    while hi - lo > _RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
         if ber_at(mid) > threshold:
             lo = mid
@@ -193,13 +191,12 @@ def delta(
     threshold: float,
     d: DerivedParams,
     link: LinkParams,
-    tol: Tolerance | None = None,
 ) -> float:
     """Power gap in dB between two methods' threshold crossings.
 
     Positive when ``method_b`` needs more power than ``method_a`` to reach the
     threshold; exactly antisymmetric under swapping the methods.
     """
-    p_a = fec_crossing(method_a, threshold, d, link, tol).p_cross_dbm
-    p_b = fec_crossing(method_b, threshold, d, link, tol).p_cross_dbm
+    p_a = fec_crossing(method_a, threshold, d, link).p_cross_dbm
+    p_b = fec_crossing(method_b, threshold, d, link).p_cross_dbm
     return p_b - p_a

@@ -15,10 +15,11 @@ Four routes to the same quantity:
 
 All averages are computed in the normalized log-gain variable v (see
 :mod:`fso_ber.channel`), an exact change of variables under which the split
-point h_hat maps to v = 0 and the truncation bound to v = beta/2 + 6. Direct
-gain-space quadrature is numerically untrustworthy here: for strong-turbulence
-presets the integrand mass occupies a ~1e-3 relative sliver of the domain that
-low-order panel rules can miss entirely, converging confidently to nonsense.
+point h_hat maps to v = 0, over the finite window
+:func:`fso_ber.channel.log_gain_window`. Direct gain-space quadrature is
+numerically untrustworthy here: for strong-turbulence presets the integrand
+mass occupies a ~1e-3 relative sliver of the domain that low-order panel rules
+can miss entirely, converging confidently to nonsense.
 
 The three analytic averages are one integrand,
 
@@ -34,10 +35,10 @@ import enum
 import math
 from dataclasses import replace
 
-from .channel import DerivedParams, LinkParams, log_gain_density, watts_to_dbm
-from .errors import NonConvergenceError
+from .channel import DerivedParams, LinkParams, log_gain_density, log_gain_window, watts_to_dbm
+from .errors import NonConvergenceError, RegimeError
 from .quadrature import POLE_ERROR, Tolerance, integrate
-from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel, erfc
+from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel
 
 _LN2 = math.log(2.0)
 # beyond this the Gaussian detection factor underflows to zero anyway
@@ -66,9 +67,9 @@ def _snr_scale(p_watts: float, link: LinkParams) -> float:
 
 def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams) -> float:
     """BER for a known channel gain h under midpoint-threshold detection."""
-    if h < 0:
-        raise ValueError(f"channel gain must be >= 0, got {h!r}")
-    return 0.5 * erfc(_snr_scale(p_watts, link) * h)
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"channel gain must be finite and >= 0, got {h!r}")
+    return 0.5 * math.erfc(_snr_scale(p_watts, link) * h)
 
 
 def _integrand(kernel: Kernel, c: float, d: DerivedParams):
@@ -91,12 +92,6 @@ def _integrand(kernel: Kernel, c: float, d: DerivedParams):
         return 0.5 * e(u) * density
 
     return f
-
-
-def _v_limits(d: DerivedParams) -> tuple[float, float]:
-    """Integration window in v: pdf tail below the floor is < exp(-120)."""
-    b = d.beta
-    return min(-8.0, 0.25 * b - 120.0 / b), 0.5 * b + 6.0
 
 
 def _v_breakpoints(d: DerivedParams, c: float, lo: float, hi: float) -> list[float]:
@@ -132,7 +127,7 @@ def _ber_average(
 ) -> float:
     """The kernel pair's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
-    lo, hi = _v_limits(d)
+    lo, hi = log_gain_window(d)
     return _integrate_segments(
         _integrand(kernel, c, d), _v_breakpoints(d, c, lo, hi), tol or Tolerance(),
         f"{what} at {watts_to_dbm(p_watts):.3f} dBm",
@@ -179,6 +174,10 @@ def ber_approx_prev(
     endpoint segment, estimated by one rule, this raises
     :class:`NonConvergenceError` without refining. Regimes with beta^2/4 or
     u0^2 large suppress K and converge cleanly.
+
+    At low power the kernel 1/(u sqrt(pi)), unbounded as u -> 0, can carry the
+    integral above 0.5; such a result raises :class:`RegimeError` instead of
+    being returned as a BER.
     """
     tol = tol or Tolerance()
     c = _snr_scale(p_watts, link)
@@ -188,7 +187,7 @@ def ber_approx_prev(
     tol = replace(tol, abs_tol=tol.abs_tol * prefactor)
     f = _integrand(ASYMPTOTIC_KERNEL, c, d)
 
-    lo, hi = _v_limits(d)
+    lo, hi = log_gain_window(d)
     pts = [0.0] + [p for p in _v_breakpoints(d, c, lo, hi) if p > 0.0]
     what = f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm"
     u0 = c * d.h_hat
@@ -202,4 +201,11 @@ def ber_approx_prev(
             f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
             f"target {target:.3e}"
         )
-    return _integrate_segments(f, pts, tol, what)
+    value = _integrate_segments(f, pts, tol, what)
+    if value > 0.5:
+        raise RegimeError(
+            f"{what}: the result {value:.6g} is above 0.5 and so not a bit-error "
+            "probability; the legacy 1/u kernel exceeds erfc(u) at small u, where "
+            "this approximation does not hold"
+        )
+    return value

@@ -170,6 +170,18 @@ def gain_of(v: float, d: DerivedParams) -> float:
     return d.a0_h_l * math.exp(d.log_gain_scale * v - d.mu)
 
 
+def log_gain_window(d: DerivedParams) -> tuple[float, float]:
+    """Finite v interval standing in for the whole real line in the BER integrals.
+
+    Above the density's peak at v = beta/2 the mass falls off as a unit-width
+    Gaussian; the upper end sits six of those widths above it, where the
+    density's erfc factor is below erfc(6) < 1e-17. Below the lower end the
+    exp(beta v - beta^2/4) tail is below exp(-120).
+    """
+    b = d.beta
+    return min(-8.0, 0.25 * b - 120.0 / b), 0.5 * b + 6.0
+
+
 def log_gain_density(v: float, b: float, e, e_x) -> float:
     """(b/2) exp(b v - b^2/4) E(v): the log-gain density with erfc replaced by
     the stand-in E of a kernel pair (E, E_x), see :mod:`fso_ber.special`.

@@ -8,7 +8,7 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .ber import BerMethod
 from .channel import LinkParams
@@ -35,11 +35,8 @@ PRESETS = {
     "case3": dict(_COMMON, pointing_std_m=0.2, rytov_variance=0.9),
 }
 
-_LINK_FIELDS = (
-    "wavelength_nm", "link_length_km", "aperture_radius_m", "beam_waist_m",
-    "attenuation_db_per_km", "responsivity_a_per_w", "noise_std",
-    "rytov_variance", "pointing_std_m", "jitter_angle_mrad",
-)
+# every LinkParams field is a float key; it is required when it has no default
+_LINK_KEYS = {f.name: f.default is MISSING for f in fields(LinkParams)}
 _INT_FIELDS = ("mc_trials", "seed", "workers")
 
 
@@ -127,7 +124,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     run_kwargs = {}
     for key, value in raw.items():
         try:
-            if key in _LINK_FIELDS:
+            if key in _LINK_KEYS:
                 link_kwargs[key] = float(value)
             elif key in _INT_FIELDS:
                 run_kwargs[key] = int(value)
@@ -144,10 +141,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         except ValueError as exc:
             problems.append(f"{origin}: field {key!r}: {exc}")
 
-    missing = [
-        f for f in _LINK_FIELDS[:-2]  # pointing fields handled separately
-        if f not in link_kwargs
-    ]
+    missing = [key for key, required in _LINK_KEYS.items() if required and key not in link_kwargs]
     link_complete = not missing
     if missing:
         problems.append(f"{origin}: missing required link fields: {', '.join(missing)}")

@@ -2,7 +2,7 @@
 
 
 class RegimeError(ValueError):
-    """Channel parameters outside the weak-turbulence regime the model covers."""
+    """Inputs outside the regime a model or approximation covers."""
 
 
 class GeometryError(ValueError):

@@ -8,14 +8,13 @@ The symbol itself is not drawn: a 0 is misread when n > eta P h and a 2P
 when n < -eta P h, which for symmetric noise is the same event in
 distribution, so a trial errs exactly when n / sigma_n > (eta P / sigma_n) h.
 Trials run in the fixed-size batches of :func:`fso_ber.channel.batch_generators`,
-so the estimate depends only on (seed, trials) regardless of execution order
-or parallelism width.
+so the estimate depends only on (seed, trials). Parallelism lives one level
+up, in the sweep's pool over power points.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +46,13 @@ class McEstimate:
     low_confidence: bool  # True when no errors were observed (one-sided bound only)
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z99) -> tuple[float, float]:
-    """Wilson score interval; stays valid at very low error counts."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval; stays valid at very low error counts."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors!r}")
+    z = WILSON_Z99
     p = errors / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
@@ -63,45 +63,25 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z99) -> tuple[fl
 
 
 def mc_ber(
-    p_watts: float,
-    d: DerivedParams,
-    link: LinkParams,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    gain_override: float | None = None,
+    p_watts: float, d: DerivedParams, link: LinkParams, trials: int, seed: int
 ) -> McEstimate:
     """Estimate the average BER by direct simulation.
 
-    ``gain_override`` pins the channel gain to a constant (fading disabled),
-    which turns the estimate into a check of the conditional-BER detection
-    model alone. Intended trial counts are >= 1e4; the Wilson interval keeps
-    the CI meaningful down to zero observed errors.
+    Intended trial counts are >= 1e4; the Wilson interval keeps the CI
+    meaningful down to zero observed errors.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not (p_watts > 0 and math.isfinite(p_watts)):
         raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
     snr = link.responsivity_a_per_w * p_watts / link.noise_std
-    batches = batch_generators(seed, trials)
 
-    def count_errors(batch) -> int:
-        """Errors in one batch: trials whose unit noise exceeds the margin snr * h."""
-        rng, n = batch
-        if gain_override is None:
-            margin = draw_gains(rng, d, n)
-            margin *= snr
-        else:
-            margin = snr * float(gain_override)
-        return int(np.count_nonzero(rng.standard_normal(n) > margin))
-
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(count_errors, batches))
-    else:
-        counts = [count_errors(b) for b in batches]
-
-    errors = sum(counts)  # order-insensitive reduction keeps the result width-invariant
+    errors = 0
+    for rng, n in batch_generators(seed, trials):
+        # a trial errs when its unit noise exceeds the margin snr * h
+        margin = draw_gains(rng, d, n)
+        margin *= snr
+        errors += int(np.count_nonzero(rng.standard_normal(n) > margin))
     ci_low, ci_high = wilson_interval(errors, trials)
     return McEstimate(
         trials=trials,

@@ -81,7 +81,7 @@ class QuadratureResult:
 
 
 def _rule(f, a: float, b: float):
-    """Apply Gauss 7 / Kronrod 15 on [a, b]; return (k15, error, resabs)."""
+    """Apply Gauss 7 / Kronrod 15 on [a, b]; return (k15, error)."""
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
 
@@ -115,7 +115,7 @@ def _rule(f, a: float, b: float):
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > 0.0:
         err = max(err, 50.0 * _EPS * resabs)
-    return value, err, resabs
+    return value, err
 
 
 # The rule's error estimate on [0, w] for 1/x, the same for every width w: the
@@ -150,7 +150,7 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
             raise IntegrandError(x, y)
         return y
 
-    value, err, _ = _rule(checked, a, b)
+    value, err = _rule(checked, a, b)
     evaluations = 15
     # heap entries: (-error, tie_breaker, a, b, value, error)
     counter = 0
@@ -168,8 +168,8 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
         if not (ia < mid < ib):
             # interval narrower than float resolution; its error is irreducible
             continue
-        lval, lerr, _ = _rule(checked, ia, mid)
-        rval, rerr, _ = _rule(checked, mid, ib)
+        lval, lerr = _rule(checked, ia, mid)
+        rval, rerr = _rule(checked, mid, ib)
         evaluations += 30
         bisections += 1
         if bisections > _GROWING_AFTER and lerr + rerr > ierr:
@@ -182,18 +182,3 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
         heapq.heappush(heap, (-rerr, counter, mid, ib, rval, rerr))
 
     return QuadratureResult(total_value, total_error, evaluations, True)
-
-
-def truncation_bound(derived) -> float:
-    """Finite stand-in for the infinite upper limit of the gain integrals.
-
-    The gain density's mass, expressed in the normalized log-gain variable,
-    peaks at ``gamma^2 * sqrt(8 sigma_X^2) / 2`` and falls off as a unit-width
-    Gaussian. The bound sits six of those widths above the peak, i.e.
-    ``A0 * h_l * exp(6 * sqrt(8 sigma_X^2) - 2 sigma_X^2)``, where the density's
-    erfc factor is below erfc(6) < 1e-17 and the remaining tail mass is
-    negligible against any supported tolerance.
-    """
-    return derived.a0_h_l * math.exp(
-        6.0 * math.sqrt(8.0 * derived.sigma_x_sq) - 2.0 * derived.sigma_x_sq
-    )

@@ -23,13 +23,6 @@ from .montecarlo import McConfig
 
 CSV_HEADER = "p_dbm,ber_exact,ber_approx_new,ber_approx_prev,ber_mc,mc_ci_low,mc_ci_high,mc_trials"
 
-_CSV_COLUMNS = {
-    BerMethod.EXACT: "ber_exact",
-    BerMethod.APPROX_NEW: "ber_approx_new",
-    BerMethod.APPROX_PREV: "ber_approx_prev",
-    BerMethod.MONTE_CARLO: "ber_mc",
-}
-
 
 @dataclass(frozen=True)
 class RunArtifacts:

@@ -1,8 +1,8 @@
-"""Complementary error function, its stand-ins, and their kernel pairs.
+"""Stand-ins for the complementary error function, and their kernel pairs.
 
-``erfc`` is the high-accuracy reference used by the exact BER integrand;
 ``erfc_approx`` is the closed-form surrogate whose substitution into the exact
-integrand yields the split-kernel BER approximation.
+integrand yields the split-kernel BER approximation; the exact integrand uses
+the C library's ``math.erfc``.
 
 Each BER method is the same average with a different stand-in E for erfc. A
 method is given by its kernel pair (E, E_x) with E_x(z) = exp(z^2) E(z), the
@@ -24,18 +24,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _FOUR_OVER_PI = 4.0 / math.pi
 _PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
-
-
-def erfc(z: float) -> float:
-    """Complementary error function, relative error below 1e-12.
-
-    Delegates to the C library's rational/continued-fraction implementation
-    rather than integrating the defining Gaussian tail, which would be both
-    slower and less accurate inside nested BER integrands.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"erfc argument must be finite, got {z!r}")
-    return math.erfc(z)
 
 
 def erfcx_approx(z: float) -> float:

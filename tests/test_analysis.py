@@ -126,10 +126,14 @@ def test_fec_crossing_bracket_straddles(links, deriveds):
     assert ber_exact(dbm_to_watts(lo), d, link) > FEC > ber_exact(dbm_to_watts(hi), d, link)
 
 
-def test_fec_crossing_resolution_invariance(links, deriveds):
+def test_fec_crossing_resolution_invariance(links, deriveds, monkeypatch):
+    from fso_ber import analysis
+
     link, d = links["case1"], deriveds["case1"]
-    coarse = fec_crossing(BerMethod.EXACT, FEC, d, link, resolution_db=1e-3)
-    fine = fec_crossing(BerMethod.EXACT, FEC, d, link, resolution_db=5e-4)
+    assert analysis._RESOLUTION_DB == 1e-3
+    coarse = fec_crossing(BerMethod.EXACT, FEC, d, link)
+    monkeypatch.setattr(analysis, "_RESOLUTION_DB", 5e-4)
+    fine = fec_crossing(BerMethod.EXACT, FEC, d, link)
     assert abs(coarse.p_cross_dbm - fine.p_cross_dbm) <= 1e-3
 
 

@@ -16,9 +16,10 @@ from fso_ber import (
     dbm_to_watts,
     derive,
     mc_ber,
-    truncation_bound,
 )
 from fso_ber.ber import BerMethod
+from fso_ber.channel import gain_of, log_gain_window
+from fso_ber.errors import RegimeError
 
 HALF_ERFC_1 = 0.07864960352514257  # (1/2) erfc(1)
 
@@ -46,8 +47,9 @@ def test_conditional_vanishes_at_large_gain(links, deriveds):
 
 
 def test_conditional_input_validation(links, deriveds):
-    with pytest.raises(ValueError):
-        ber_conditional(-0.1, 1e-3, deriveds["case1"], links["case1"])
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ber_conditional(bad, 1e-3, deriveds["case1"], links["case1"])
     with pytest.raises(ValueError):
         ber_conditional(0.1, 0.0, deriveds["case1"], links["case1"])
 
@@ -113,7 +115,7 @@ def test_exact_matches_textbook_gain_space_form(p_dbm, links, deriveds):
     link, d = links["case1"], deriveds["case1"]
     p = dbm_to_watts(p_dbm)
     exact_f, _, _ = _textbook_integrands(d, link, p)
-    h_max = truncation_bound(d)
+    h_max = gain_of(log_gain_window(d)[1], d)
     ref = (
         scipy.integrate.quad(exact_f, 0.0, d.h_hat, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
         + scipy.integrate.quad(exact_f, d.h_hat, h_max, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
@@ -126,7 +128,7 @@ def test_approx_new_matches_textbook_gain_space_form(p_dbm, links, deriveds):
     link, d = links["case1"], deriveds["case1"]
     p = dbm_to_watts(p_dbm)
     _, below, above = _textbook_integrands(d, link, p)
-    h_max = truncation_bound(d)
+    h_max = gain_of(log_gain_window(d)[1], d)
     ref = (
         scipy.integrate.quad(below, 0.0, d.h_hat, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
         + scipy.integrate.quad(above, d.h_hat, h_max, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
@@ -152,7 +154,7 @@ def test_approx_new_is_exact_with_substituted_erfc(links, deriveds):
         pdf_a = d.gamma_sq / (2.0 * a0hl**d.gamma_sq) * h ** (d.gamma_sq - 1.0) * erfc_approx(vv) * big_e
         return 0.5 * erfc_approx(c * h) * pdf_a
 
-    h_max = truncation_bound(d)
+    h_max = gain_of(log_gain_window(d)[1], d)
     ref = (
         scipy.integrate.quad(substituted, 0.0, d.h_hat, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
         + scipy.integrate.quad(substituted, d.h_hat, h_max, epsabs=1e-20, epsrel=1e-11, limit=500)[0]
@@ -287,20 +289,33 @@ def test_approx_prev_matches_printed_legacy_integral(case, p_dbm, links, derived
     assert ber_approx_prev(p, d, link) == pytest.approx(ref, rel=1e-8)
 
 
-@pytest.mark.parametrize("p_dbm, expected", [(-30.0, 198.39083031544146),
-                                             (6.0, 0.004722417111999788)])
-def test_approx_prev_at_large_beta(p_dbm, expected):
-    # beta ~ 1.5e3. At -30 dBm, near v = 0 the legacy 1/u overflows to inf where
-    # the density exp(-(v - beta/2)^2) underflows to 0; the integrand is 0
-    # there, not inf * 0 = nan. Far below any useful power the legacy kernel's
-    # 1/u makes the value exceed 0.5. At 6 dBm abs_tol applies to the integral
-    # without its beta / (4 pi) prefactor, as in the printed form: applied to
-    # the prefactored integral it refines further and moves the value by 6e-3
-    # relative, since the integral's value follows how far refinement goes.
+def _large_beta_link():
     link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.03, "rytov_variance": 1.0})
     d = derive(link)
-    assert d.beta > 1e3
+    assert d.beta > 1e3  # beta ~ 1.5e3
+    return link, d
+
+
+@pytest.mark.parametrize("p_dbm, expected", [(6.0, 0.004722417111999788)])
+def test_approx_prev_at_large_beta(p_dbm, expected):
+    # abs_tol applies to the integral without its beta / (4 pi) prefactor, as
+    # in the printed form: applied to the prefactored integral it refines
+    # further and moves the value by 6e-3 relative, since the integral's value
+    # follows how far refinement goes.
+    link, d = _large_beta_link()
     assert ber_approx_prev(dbm_to_watts(p_dbm), d, link) == pytest.approx(expected, rel=1e-13)
+
+
+def test_approx_prev_above_half_raises_regime_error():
+    # At -30 dBm, near v = 0 the legacy 1/u overflows to inf where the density
+    # exp(-(v - beta/2)^2) underflows to 0; the integrand is 0 there, not
+    # inf * 0 = nan, so the integral completes (IntegrandError otherwise). Its
+    # value, 198.39, is no probability: the legacy 1/u kernel exceeds erfc(u)
+    # at small u. The check runs on the finished integral.
+    link, d = _large_beta_link()
+    with pytest.raises(RegimeError, match=r"legacy BER approximation at -30\.000 dBm: "
+                                          r"the result 198\.39"):
+        ber_approx_prev(dbm_to_watts(-30.0), d, link)
 
 
 def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):

@@ -17,10 +17,9 @@ from fso_ber import (
     log_gain_pdf,
     pdf_h,
     sample_h,
-    truncation_bound,
     watts_to_dbm,
 )
-from fso_ber.channel import DerivedParams, draw_gains, gain_of, log_gain_of
+from fso_ber.channel import DerivedParams, draw_gains, gain_of, log_gain_of, log_gain_window
 
 mp.mp.dps = 40
 
@@ -139,7 +138,7 @@ def test_pdf_matches_high_precision_formula(case, deriveds):
 
 def test_pdf_normalizes_case1(deriveds):
     d = deriveds["case1"]
-    h_max = truncation_bound(d)
+    h_max = gain_of(log_gain_window(d)[1], d)
     mode = d.a0 * d.h_l * math.exp(-2.0 * d.sigma_x_sq)
     total = 0.0
     for a, b in zip([0.0, d.h_hat, mode], [d.h_hat, mode, h_max]):
@@ -151,8 +150,7 @@ def test_pdf_normalizes_case1(deriveds):
 
 def test_log_gain_density_normalizes(deriveds):
     d = deriveds["case2"]
-    lo = min(-8.0, d.beta / 4.0 - 120.0 / d.beta)
-    hi = d.beta / 2.0 + 6.0
+    lo, hi = log_gain_window(d)
     total = 0.0
     for a, b in zip([lo, 0.0, d.beta / 2.0], [0.0, d.beta / 2.0, hi]):
         total += integrate(lambda v: log_gain_pdf(v, d), a, b).value
@@ -253,7 +251,7 @@ def test_composite_samples_match_quadrature_cdf(deriveds):
     d = deriveds["case1"]
     h = sample_h(d, 20_000, seed=41)
     v = (np.log(h / (d.a0 * d.h_l)) + d.mu) / d.log_gain_scale
-    lo = min(-8.0, d.beta / 4.0 - 120.0 / d.beta)
+    lo = log_gain_window(d)[0]
     grid = np.linspace(v.min() - 0.5, v.max() + 0.5, 1501)
     seg = [integrate(lambda t: log_gain_pdf(t, d), lo, grid[0]).value]
     for a, b in zip(grid[:-1], grid[1:]):

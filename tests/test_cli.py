@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,44 @@ def test_cli_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatc
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# SHA-256 of (curves.csv, report.txt) for whole CLI runs of a preset with the
+# given methods and otherwise default settings.
+GOLDEN_DIGESTS = {
+    ("case1", "exact,approx-new"): (
+        "58678f0041c5d4494033ae88a3c98710b9ed297eb83dbc85fc6e46dc58c117ed",
+        "26a514be01ab303e755f9fed0ec1d33c660a8e2d717177545472ed2380fc9b24",
+    ),
+    ("case2", "exact,approx-new"): (
+        "ece1bf64bd540bac54d9894e03d1f03e965d0cea1bbe5b340464847f4c6413fc",
+        "ee3353d4f6f938c74807b2652c5fe0ef18a4929c8041a87484d7e1331ad1aefa",
+    ),
+    ("case3", "exact,approx-new"): (
+        "db2da60290194cbe97ad015ac9fd835b17c5715820a0d955f77b9bea17c47cdc",
+        "2cc822170b7a8b1782e57405ec634f02718ae95944cc1279768129eda3b5f3b2",
+    ),
+    ("case2", "exact,approx-new,approx-prev,mc"): (
+        "f1f68bbdb0c3808d3cec7929a34cf93b2aeadb22c362183403c6d8a63dbf529a",
+        "5c6f3b3fac56295ed974a70fe399b6126d712d628446adf4a41a7205b676b902",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset, methods", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_golden_digests(preset, methods, tmp_path):
+    """curves.csv and report.txt are byte-identical to the recorded runs.
+
+    The digests hold on the pinned toolchain they were taken with (numpy 2.4,
+    scipy 1.17, glibc 2.36 libm, x86-64): another libm or numpy build may
+    round a last digit differently. A change meant to alter the outputs must
+    update these digests and say in CHANGES.md which values moved and by how
+    much. Monte Carlo runs at 2e5 trials per point.
+    """
+    out = tmp_path / "o"
+    code = main(["run", "--preset", preset, "--methods", methods, "--mc-trials", "200000",
+                 "--out", str(out)])
+    assert code == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("curves.csv", "report.txt"))
+    assert got == GOLDEN_DIGESTS[preset, methods]

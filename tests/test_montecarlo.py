@@ -48,37 +48,37 @@ def test_estimate_is_deterministic(links, deriveds):
     assert c != a
 
 
-def test_worker_count_does_not_change_result(links, deriveds):
-    link, d = links["case1"], deriveds["case1"]
-    p = dbm_to_watts(0.0)
-    serial = mc_ber(p, d, link, trials=2_500_000, seed=55, workers=1)
-    threaded = mc_ber(p, d, link, trials=2_500_000, seed=55, workers=4)
-    assert serial == threaded
+def _pin_gain(monkeypatch, h):
+    """Disable fading: every trial sees gain h, so mc_ber checks the detection
+    model alone. The noise is drawn from the same stream as with fading."""
+    monkeypatch.setattr(montecarlo, "draw_gains", lambda rng, d, n: np.full(n, h))
 
 
-def test_zero_error_outcome_flagged(links, deriveds):
+def test_zero_error_outcome_flagged(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
     # conditional BER ~ erfc(20) ~ 1e-175; no errors will be seen
     h = 40.0 * math.sqrt(2.0) * link.noise_std / link.responsivity_a_per_w / 1e-3
-    est = mc_ber(1e-3, d, link, trials=10_000, seed=9, gain_override=h)
+    _pin_gain(monkeypatch, h)
+    est = mc_ber(1e-3, d, link, trials=10_000, seed=9)
     assert est.errors == 0
     assert est.ber == 0.0
     assert est.low_confidence
     assert est.ci_low == 0.0 and est.ci_high > 0.0
 
 
-def test_pinned_gain_reproduces_conditional_ber(links, deriveds):
+def test_pinned_gain_reproduces_conditional_ber(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
     p = 1e-3
     for u, expected in ((1.0, 0.5 * math.erfc(1.0)), (2.0, 0.5 * math.erfc(2.0))):
         h = u * math.sqrt(2.0) * link.noise_std / (link.responsivity_a_per_w * p)
-        est = mc_ber(p, d, link, trials=1_000_000, seed=123, gain_override=h)
+        _pin_gain(monkeypatch, h)
+        est = mc_ber(p, d, link, trials=1_000_000, seed=123)
         sigma = math.sqrt(expected * (1.0 - expected) / est.trials)
         assert abs(est.ber - expected) < 3.0 * sigma + 1e-9
         assert est.ci_low <= expected <= est.ci_high
 
 
-def test_pinned_gain_error_counts_within_five_sigma(links, deriveds):
+def test_pinned_gain_error_counts_within_five_sigma(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
     p = 1e-3
     trials = 1_000_000
@@ -86,7 +86,8 @@ def test_pinned_gain_error_counts_within_five_sigma(links, deriveds):
         # gain at which the conditional BER 0.5 erfc(c h) equals the level
         h = float(erfcinv(2.0 * level)) * math.sqrt(2.0) * link.noise_std / (
             link.responsivity_a_per_w * p)
-        est = mc_ber(p, d, link, trials=trials, seed=321, gain_override=h)
+        _pin_gain(monkeypatch, h)
+        est = mc_ber(p, d, link, trials=trials, seed=321)
         sigma = math.sqrt(trials * level * (1.0 - level))
         assert abs(est.errors - trials * level) <= 5.0 * sigma, (level, est.errors)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fso_ber import IntegrandError, Tolerance, integrate, truncation_bound
-from fso_ber.channel import DerivedParams
+from fso_ber import IntegrandError, Tolerance, integrate
+from fso_ber.channel import DerivedParams, gain_of, log_gain_window
 from fso_ber.quadrature import POLE_ERROR
 
 
@@ -148,6 +148,11 @@ def _degenerate_derived(sigma_x_sq):
         gamma=math.sqrt(gamma_sq), gamma_sq=gamma_sq, sigma_x_sq=sigma_x_sq,
         mu=mu, h_hat=a0 * h_l * math.exp(-mu),
     )
+
+
+def truncation_bound(d):
+    """The gain at the upper end of the BER integration window."""
+    return gain_of(log_gain_window(d)[1], d)
 
 
 def test_truncation_bound_degenerate_limit():
