@@ -8,6 +8,7 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .ber import BerMethod
@@ -55,10 +56,13 @@ class RunConfig:
         problems = []
         try:
             lo, hi, step = self.sweep
-            if not lo < hi:
-                problems.append(f"sweep: lo must be < hi (got {lo!r} .. {hi!r})")
-            if not step > 0:
-                problems.append(f"sweep: step must be positive (got {step!r})")
+            if not all(map(math.isfinite, self.sweep)):
+                problems.append(f"sweep: lo, hi and step must be finite (got {self.sweep!r})")
+            else:
+                if not lo < hi:
+                    problems.append(f"sweep: lo must be < hi (got {lo!r} .. {hi!r})")
+                if not step > 0:
+                    problems.append(f"sweep: step must be positive (got {step!r})")
         except (TypeError, ValueError):
             problems.append(f"sweep: expected (lo, hi, step), got {self.sweep!r}")
         if not self.methods:

@@ -35,4 +35,4 @@ class BracketError(RuntimeError):
 
 
 class NonMonotoneError(RuntimeError):
-    """BER samples are not monotone in transmit power; bisection aborted."""
+    """BER samples are not monotone in transmit power; crossing search aborted."""

@@ -6,7 +6,7 @@ and fail with the measured value in the message. Before failing, each one
 checks the cause it states, so a program fault cannot pass for the known red:
 
 * ``test_criterion_1_delta_split_kernel[case1]``: the measured gap is
-  0.0653 dB against a 0.21 +/- 0.05 dB target. An independent gain-space
+  0.0651 dB against a 0.21 +/- 0.05 dB target. An independent gain-space
   reference (Gauss-Hermite in the turbulence, ``scipy.integrate.quad`` in the
   pointing term, ``brentq`` crossings) gives 0.0651 dB, and the test asserts
   agreement to 2e-3 dB before the target. The gap grows with beta
@@ -82,7 +82,7 @@ def _snr_scale(p_dbm: float, link) -> float:
 # --- criterion 1: split-kernel approximation power gaps -----------------------
 #
 # Independent reference for the gap: none of fso_ber's integration window,
-# adaptive quadrature or crossing bisection is used.
+# adaptive quadrature or crossing search is used.
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
 

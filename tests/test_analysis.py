@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_ber import (
     BracketError,
@@ -31,6 +33,19 @@ def test_power_grid_validation():
         power_grid(4.0, -4.0, 0.5)
     with pytest.raises(ValueError):
         power_grid(-4.0, 16.0, 0.0)
+
+
+NON_FINITE_SWEEPS = [
+    tuple(bad if i == pos else good for i, good in enumerate((-4.0, 16.0, 0.5)))
+    for pos in range(3)
+    for bad in (math.inf, -math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("p_range", NON_FINITE_SWEEPS, ids=repr)
+def test_sweep_rejects_non_finite_range(p_range, links, deriveds):
+    with pytest.raises(ValueError, match="sweep"):
+        sweep({BerMethod.EXACT}, p_range, deriveds["case1"], links["case1"])
 
 
 def test_sweep_empty_methods(links, deriveds):
@@ -112,7 +127,7 @@ def test_sweep_mc_deterministic_across_workers(links, deriveds):
 
 def test_fec_crossing_case1_frozen(links, deriveds):
     report = fec_crossing(BerMethod.EXACT, FEC, deriveds["case1"], links["case1"])
-    assert report.p_cross_dbm == pytest.approx(-1.0688, abs=2e-3)
+    assert report.p_cross_dbm == pytest.approx(-1.0687, abs=2e-3)
     lo, hi = report.bracket
     assert hi - lo <= 1e-3 + 1e-12
 
@@ -199,3 +214,146 @@ def test_delta_antisymmetric(links, deriveds):
 def test_delta_case1_split_kernel_gap(links, deriveds):
     gap = delta(BerMethod.EXACT, BerMethod.APPROX_NEW, FEC, deriveds["case1"], links["case1"])
     assert gap == pytest.approx(0.0651, abs=3e-3)
+
+
+# --- crossing search contract, counted in BER calls ----------------------------
+
+
+def _p_dbm(p_watts: float) -> float:
+    return 10.0 * math.log10(p_watts) + 30.0
+
+
+def _bisect(ber, lo: float, hi: float, threshold: float) -> tuple[float, int]:
+    """Plain bisection on dBm down to the crossing resolution: (midpoint, BER calls)."""
+    from fso_ber import analysis
+
+    assert ber(lo) > threshold >= ber(hi)
+    calls = 2
+    while hi - lo > analysis._RESOLUTION_DB:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if ber(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), calls
+
+
+def _stub_crossing(monkeypatch, links, deriveds, ber_dbm):
+    """fec_crossing of exact replaced by ``ber_dbm`` on dBm; returns (report, probes)."""
+    probes = []
+
+    def stub(p_watts, d, link, tol=None):
+        probes.append(p_watts)
+        return ber_dbm(_p_dbm(p_watts))
+
+    monkeypatch.setitem(_ANALYTIC, BerMethod.EXACT, stub)
+    report = fec_crossing(BerMethod.EXACT, FEC, deriveds["case1"], links["case1"])
+    return report, probes
+
+
+def _assert_valid_bracket(report, ber_dbm):
+    from fso_ber import analysis
+
+    lo, hi = report.bracket
+    assert ber_dbm(lo) > FEC >= ber_dbm(hi)
+    assert hi - lo <= analysis._RESOLUTION_DB
+    assert report.p_cross_dbm == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+@pytest.mark.parametrize("method", (BerMethod.EXACT, BerMethod.APPROX_NEW))
+def test_fec_crossing_ber_calls_on_presets(monkeypatch, links, deriveds, case, method):
+    fn = _ANALYTIC[method]
+    calls = []
+
+    def counting(p_watts, d, link, tol=None):
+        calls.append(p_watts)
+        return fn(p_watts, d, link)
+
+    monkeypatch.setitem(_ANALYTIC, method, counting)
+    fec_crossing(method, FEC, deriveds[case], links[case])
+    assert len(calls) <= 9
+
+
+def _step_like(p_step):
+    # strictly decreasing, but log BER drops by 20 within about 0.1 dB of p_step,
+    # where a secant through the bracket ends predicts the root poorly
+    return lambda p: FEC * math.exp(-0.01 * (p - p_step) - 10.0 * math.tanh(20.0 * (p - p_step)))
+
+
+def _flat_at_root(p_root):
+    # log BER is -(p - p_root)**3: zero slope at the root, so the secant steps
+    # creep and only the projection towards the midpoint bounds the count
+    return lambda p: FEC * math.exp(-(p - p_root) ** 3)
+
+
+@pytest.mark.parametrize("ber_dbm", [_step_like(-3.7), _step_like(3.3), _step_like(15.9),
+                                     _flat_at_root(3.3)],
+                         ids=["step-3.7", "step3.3", "step15.9", "flat3.3"])
+def test_fec_crossing_within_bisection_count_plus_one(monkeypatch, links, deriveds, ber_dbm):
+    report, probes = _stub_crossing(monkeypatch, links, deriveds, ber_dbm)
+    _assert_valid_bracket(report, ber_dbm)
+    _, bisection_calls = _bisect(ber_dbm, -4.0, 16.0, FEC)
+    assert len(probes) <= bisection_calls + 1
+
+
+def test_fec_crossing_ber_underflow_above_crossing(monkeypatch, links, deriveds):
+    # BER is exactly 0.0 from 2.5 dBm up, so the first bracket's upper end
+    # and later probes have no logarithm, and equal zeros are no defect
+    def ber_dbm(p):
+        return FEC * math.exp(-(p - 2.0)) if p < 2.5 else 0.0
+
+    report, probes = _stub_crossing(monkeypatch, links, deriveds, ber_dbm)
+    _assert_valid_bracket(report, ber_dbm)
+    assert sum(ber_dbm(_p_dbm(p)) == 0.0 for p in probes) >= 2
+    assert abs(report.p_cross_dbm - 2.0) <= 1e-3
+
+
+def test_non_monotone_between_refinement_probes(monkeypatch, links, deriveds):
+    def smooth(p):
+        return FEC * math.exp(-(p - 2.0))
+
+    _, probes = _stub_crossing(monkeypatch, links, deriveds, smooth)
+    refinement = probes[2:]  # after the -4 and 16 dBm bracket probes
+    last = refinement[-1]
+    last_above = smooth(_p_dbm(last)) > FEC
+    # the refinement probe that the last one replaced as a bracket end
+    (prev, *_) = sorted((p for p in refinement[:-1]
+                         if (smooth(_p_dbm(p)) > FEC) == last_above),
+                        key=lambda p: abs(p - last))
+    # the same curve, except that the last probe reads a BER on the same side
+    # of the threshold but out of order with its neighbour: the search takes
+    # the same steps, and only the final check can see the rise
+    bumped = smooth(_p_dbm(prev)) * (2.0 if last_above else 0.5)
+
+    def rising(p):
+        return bumped if p == _p_dbm(last) else smooth(p)
+
+    with pytest.raises(NonMonotoneError):
+        _stub_crossing(monkeypatch, links, deriveds, rising)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    log_pointing=st.floats(math.log10(1e-3), 0.0),
+    log_rytov=st.floats(-6.0, 0.0),
+    method=st.sampled_from((BerMethod.EXACT, BerMethod.APPROX_NEW)),
+)
+def test_fec_crossing_matches_bisection(log_pointing, log_rytov, method):
+    from fso_ber import PRESETS, LinkParams, analysis, derive
+
+    link = LinkParams(**dict(PRESETS["case1"], pointing_std_m=10.0 ** log_pointing,
+                             rytov_variance=10.0 ** log_rytov))
+    d = derive(link)
+    try:
+        report = fec_crossing(method, FEC, d, link)
+    except (BracketError, NonMonotoneError):
+        return
+
+    def ber_dbm(p):
+        return _ANALYTIC[method](dbm_to_watts(p), d, link)
+
+    _assert_valid_bracket(report, ber_dbm)
+    reference, _ = _bisect(ber_dbm, analysis._P_FLOOR, analysis._P_CEIL, FEC)
+    assert abs(report.p_cross_dbm - reference) <= analysis._RESOLUTION_DB

@@ -166,24 +166,41 @@ def test_cli_negative_seed_rejected_before_any_work(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", ["inf:16:0.5", "-inf:16:0.5", "nan:16:0.5",
+                                   "-4:inf:0.5", "-4:-inf:0.5", "-4:nan:0.5",
+                                   "-4:16:inf", "-4:16:-inf", "-4:16:nan"])
+def test_cli_non_finite_sweep_rejected_before_any_work(sweep, tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError(f"run started with sweep {config.sweep!r}")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", f"--sweep={sweep}", "--out", str(out)])
+    assert code == 2
+    assert "sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of (curves.csv, report.txt) for whole CLI runs of a preset with the
 # given methods and otherwise default settings.
 GOLDEN_DIGESTS = {
     ("case1", "exact,approx-new"): (
         "58678f0041c5d4494033ae88a3c98710b9ed297eb83dbc85fc6e46dc58c117ed",
-        "26a514be01ab303e755f9fed0ec1d33c660a8e2d717177545472ed2380fc9b24",
+        "88e6d5990b9ccfb6a0f7a47ab60e2b0404db83678acca37979d4473bfb17dbda",
     ),
     ("case2", "exact,approx-new"): (
         "ece1bf64bd540bac54d9894e03d1f03e965d0cea1bbe5b340464847f4c6413fc",
-        "ee3353d4f6f938c74807b2652c5fe0ef18a4929c8041a87484d7e1331ad1aefa",
+        "51abf72aaee65ba364cd510b13df655d07f8284a178718b12114871953ef816f",
     ),
     ("case3", "exact,approx-new"): (
         "db2da60290194cbe97ad015ac9fd835b17c5715820a0d955f77b9bea17c47cdc",
-        "2cc822170b7a8b1782e57405ec634f02718ae95944cc1279768129eda3b5f3b2",
+        "4df5f1fd5f41c8d907d908b3ff0c9278facff20f1824ce3ad9c12678beaa7df9",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
         "f1f68bbdb0c3808d3cec7929a34cf93b2aeadb22c362183403c6d8a63dbf529a",
-        "5c6f3b3fac56295ed974a70fe399b6126d712d628446adf4a41a7205b676b902",
+        "12261a9caceb0e5b06ce6d085b49715bddc784eb285a1d7e1ccaeb00c3dbb32c",
     ),
 }
 
