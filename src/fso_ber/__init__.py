@@ -11,7 +11,6 @@ from .channel import (
     derive,
     log_gain_pdf,
     pdf_h,
-    sample_h,
     watts_to_dbm,
 )
 from .config import PRESETS, RunConfig, load_config
@@ -24,7 +23,7 @@ from .errors import (
     NonMonotoneError,
     RegimeError,
 )
-from .montecarlo import McConfig, McEstimate, mc_ber, wilson_interval
+from .montecarlo import McConfig, McEstimate, mc_ber, sample_h, wilson_interval
 from .quadrature import QuadratureResult, Tolerance, integrate
 from .runner import RunArtifacts, run
 from .special import erfc_approx

@@ -6,12 +6,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
 from .errors import BracketError, NonMonotoneError
-from .montecarlo import McConfig, McEstimate, mc_ber
+from .montecarlo import McConfig, McEstimate, mc_ber, point_seeds
 
 _ANALYTIC = {
     BerMethod.EXACT: ber_exact,
@@ -43,20 +41,21 @@ class BerCurve:
 
 @dataclass(frozen=True)
 class CrossingReport:
-    method: BerMethod
-    threshold: float
     p_cross_dbm: float
     bracket: tuple[float, float]
 
 
 def power_grid(lo: float, hi: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValueError(f"sweep lo, hi and step must be finite, got {lo!r}, {hi!r}, {step!r}")
+        raise ValueError(f"sweep: lo, hi and step must be finite (got {lo!r}, {hi!r}, {step!r})")
     if not (lo < hi):
-        raise ValueError(f"sweep needs lo < hi, got {lo!r} .. {hi!r}")
+        raise ValueError(f"sweep: lo must be < hi (got {lo!r} .. {hi!r})")
     if not (step > 0):
-        raise ValueError(f"sweep step must be positive, got {step!r}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        raise ValueError(f"sweep: step must be positive (got {step!r})")
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"sweep: step {step!r} is too small for {lo!r} .. {hi!r}")
+    n = int(math.floor(span + 1e-9)) + 1
     return [lo + i * step for i in range(n)]
 
 
@@ -92,13 +91,11 @@ def sweep(
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
-            point_seeds = np.random.SeedSequence(mc.seed).generate_state(len(grid), np.uint64)
+            seeds = point_seeds(mc.seed, len(grid))
 
             def eval_mc(i: int) -> BerPoint:
                 p = grid[i]
-                est: McEstimate = mc_ber(
-                    dbm_to_watts(p), d, link, mc.trials, int(point_seeds[i])
-                )
+                est: McEstimate = mc_ber(dbm_to_watts(p), d, link, mc.trials, seeds[i])
                 return BerPoint(p, est.ber, est.ci_low, est.ci_high, est.trials)
 
             points = _map_indexed(eval_mc, len(grid), workers, method, grid)
@@ -219,7 +216,7 @@ def fec_crossing(
             hi, g_hi = p, log_excess(p)
         j += 1
     check_monotone()
-    return CrossingReport(method, threshold, 0.5 * (lo + hi), (lo, hi))
+    return CrossingReport(0.5 * (lo + hi), (lo, hi))
 
 
 def delta(

@@ -3,8 +3,8 @@
 The multiplicative channel gain is ``h = h_a * h_p * h_l`` with lognormal
 turbulence fading ``h_a`` (unit mean), Gaussian-beam pointing loss ``h_p``
 through a circular aperture, and deterministic Beer-Lambert loss ``h_l``.
-This module derives every quantity the BER expressions need, evaluates the
-composite gain density, and draws reproducible gain samples for Monte Carlo.
+This module derives every quantity the BER expressions need and evaluates
+the composite gain density.
 
 Numerically the density is handled through the normalized log-gain variable
 
@@ -21,12 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GeometryError, RegimeError
 from .special import EXACT_KERNEL
-
-_BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -210,45 +206,3 @@ def pdf_h(h: float, d: DerivedParams) -> float:
         return 0.0
     return log_gain_pdf(log_gain_of(h, d), d) / (h * d.log_gain_scale)
 
-
-def batch_generators(seed: int, n: int) -> list[tuple[np.random.Generator, int]]:
-    """Split ``n`` draws into fixed-size batches, each with its own generator.
-
-    Batch i draws from a generator seeded by the i-th child spawned from the
-    master seed, so the draws depend only on (seed, n), never on the order or
-    the thread in which the batches run.
-    """
-    if n < 1:
-        raise ValueError(f"draw count must be >= 1, got {n!r}")
-    children = np.random.SeedSequence(seed).spawn((n + _BATCH - 1) // _BATCH)
-    return [
-        (np.random.default_rng(child), min(_BATCH, n - i * _BATCH))
-        for i, child in enumerate(children)
-    ]
-
-
-def draw_gains(rng: np.random.Generator, d: DerivedParams, n: int) -> np.ndarray:
-    """Draw ``n`` composite gains h = h_a h_p h_l from one generator.
-
-    h_a = exp(2 sigma_X Z - 2 sigma_X^2) with Z standard normal, giving
-    unit-mean fading. h_p = A0 exp(-2 r^2 / omega_z_eq^2) with r the radial
-    pointing offset; r^2 / (2 sigma_s^2) = (x^2 + y^2) / 2 for standard normal
-    x, y is a standard exponential E, so h_p = A0 exp(-E / gamma^2). One
-    normal and one exponential draw per gain, combined in the log domain.
-    """
-    ln_h = rng.standard_normal(n)
-    ln_h *= 2.0 * math.sqrt(d.sigma_x_sq)
-    ln_h += math.log(d.a0_h_l) - 2.0 * d.sigma_x_sq
-    e = rng.standard_exponential(n)
-    e /= d.gamma_sq
-    ln_h -= e
-    return np.exp(ln_h, out=ln_h)
-
-
-def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` gain samples, bit-reproducible for a given (seed, n).
-
-    These are exactly the gains :func:`fso_ber.montecarlo.mc_ber` draws for
-    ``trials = n`` and the same seed (see :func:`batch_generators`).
-    """
-    return np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(seed, n)])

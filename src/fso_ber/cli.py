@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .config import load_config, parse_methods, parse_sweep, with_overrides
+from .config import load_config, parse_methods, parse_sweep
 from .errors import ConfigError
 from .runner import run
 
@@ -63,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_merge_negative_sweep(argv))
     try:
         config = load_config(args.preset or args.config)
-        config = with_overrides(
-            config,
+        overrides = dict(
             methods=parse_methods(args.methods) if args.methods else None,
             sweep=parse_sweep(args.sweep) if args.sweep else None,
             mc_trials=args.mc_trials,
@@ -73,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             output_path=args.out,
             workers=args.workers,
         )
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except (ConfigError, ValueError) as exc:
         print(f"fso-ber: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,9 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
+from .analysis import power_grid
 from .ber import BerMethod
 from .channel import LinkParams
 from .errors import ConfigError
@@ -36,9 +36,8 @@ PRESETS = {
     "case3": dict(_COMMON, pointing_std_m=0.2, rytov_variance=0.9),
 }
 
-# every LinkParams field is a float key; it is required when it has no default
+# every LinkParams field is a config key; it is required when it has no default
 _LINK_KEYS = {f.name: f.default is MISSING for f in fields(LinkParams)}
-_INT_FIELDS = ("mc_trials", "seed", "workers")
 
 
 @dataclass(frozen=True)
@@ -55,16 +54,11 @@ class RunConfig:
     def __post_init__(self):
         problems = []
         try:
-            lo, hi, step = self.sweep
-            if not all(map(math.isfinite, self.sweep)):
-                problems.append(f"sweep: lo, hi and step must be finite (got {self.sweep!r})")
-            else:
-                if not lo < hi:
-                    problems.append(f"sweep: lo must be < hi (got {lo!r} .. {hi!r})")
-                if not step > 0:
-                    problems.append(f"sweep: step must be positive (got {step!r})")
-        except (TypeError, ValueError):
+            power_grid(*self.sweep)
+        except TypeError:
             problems.append(f"sweep: expected (lo, hi, step), got {self.sweep!r}")
+        except ValueError as exc:
+            problems.append(str(exc))
         if not self.methods:
             problems.append("methods: at least one method required")
         if self.mc_trials < 1:
@@ -102,6 +96,19 @@ def parse_sweep(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
+# config-file key -> parser of its value text; every link field is a float
+_PARSERS = {
+    **{key: float for key in _LINK_KEYS},
+    "sweep": parse_sweep,
+    "methods": parse_methods,
+    "mc_trials": int,
+    "seed": int,
+    "fec_threshold": float,
+    "output_path": str,
+    "workers": int,
+}
+
+
 def preset_config(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError([f"unknown preset {name!r} (valid: {', '.join(sorted(PRESETS))})"])
@@ -127,21 +134,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     link_kwargs = {}
     run_kwargs = {}
     for key, value in raw.items():
+        if key not in _PARSERS:
+            problems.append(f"{origin}: unknown key {key!r}")
+            continue
         try:
-            if key in _LINK_KEYS:
-                link_kwargs[key] = float(value)
-            elif key in _INT_FIELDS:
-                run_kwargs[key] = int(value)
-            elif key == "fec_threshold":
-                run_kwargs[key] = float(value)
-            elif key == "sweep":
-                run_kwargs[key] = parse_sweep(value)
-            elif key == "methods":
-                run_kwargs[key] = parse_methods(value)
-            elif key == "output_path":
-                run_kwargs[key] = value
-            else:
-                problems.append(f"{origin}: unknown key {key!r}")
+            (link_kwargs if key in _LINK_KEYS else run_kwargs)[key] = _PARSERS[key](value)
         except ValueError as exc:
             problems.append(f"{origin}: field {key!r}: {exc}")
 
@@ -183,9 +180,3 @@ def load_config(source: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config {source!r}: {exc}"])
     return parse_config_text(text, origin=source)
-
-
-def with_overrides(config: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None overrides on top of a loaded config."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **updates) if updates else config

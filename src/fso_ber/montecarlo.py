@@ -7,9 +7,10 @@ analytic conditional BER (1/2) erfc(eta P h / sqrt(2 sigma_n^2)) is exact.
 The symbol itself is not drawn: a 0 is misread when n > eta P h and a 2P
 when n < -eta P h, which for symmetric noise is the same event in
 distribution, so a trial errs exactly when n / sigma_n > (eta P / sigma_n) h.
-Trials run in the fixed-size batches of :func:`fso_ber.channel.batch_generators`,
-so the estimate depends only on (seed, trials). Parallelism lives one level
-up, in the sweep's pool over power points.
+Trials run in the fixed-size batches of :func:`batch_generators`, so the
+estimate depends only on (seed, trials). Parallelism lives one level up, in
+the sweep's pool over power points, whose per-point seeds come from
+:func:`point_seeds`. This module holds all of the package's randomness.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedParams, LinkParams, batch_generators, draw_gains
+from .channel import DerivedParams, LinkParams
 
+_BATCH = 1_000_000  # fixed sub-batch size; part of the determinism contract
 # two-sided 99% normal quantile, Phi^-1(0.995); pinned and asserted in tests
 WILSON_Z99 = 2.5758293035489004
 
@@ -42,8 +44,55 @@ class McEstimate:
     ber: float
     ci_low: float
     ci_high: float
-    seed: int
     low_confidence: bool  # True when no errors were observed (one-sided bound only)
+
+
+def batch_generators(seed: int, n: int) -> list[tuple[np.random.Generator, int]]:
+    """Split ``n`` draws into fixed-size batches, each with its own generator.
+
+    Batch i draws from a generator seeded by the i-th child spawned from the
+    master seed, so the draws depend only on (seed, n), never on the order or
+    the thread in which the batches run.
+    """
+    if n < 1:
+        raise ValueError(f"draw count must be >= 1, got {n!r}")
+    children = np.random.SeedSequence(seed).spawn((n + _BATCH - 1) // _BATCH)
+    return [
+        (np.random.default_rng(child), min(_BATCH, n - i * _BATCH))
+        for i, child in enumerate(children)
+    ]
+
+
+def point_seeds(seed: int, n: int) -> list[int]:
+    """Seeds of the ``n`` points of a sweep, the i-th depending only on (seed, i)."""
+    return np.random.SeedSequence(seed).generate_state(n, np.uint64).tolist()
+
+
+def draw_gains(rng: np.random.Generator, d: DerivedParams, n: int) -> np.ndarray:
+    """Draw ``n`` composite gains h = h_a h_p h_l from one generator.
+
+    h_a = exp(2 sigma_X Z - 2 sigma_X^2) with Z standard normal, giving
+    unit-mean fading. h_p = A0 exp(-2 r^2 / omega_z_eq^2) with r the radial
+    pointing offset; r^2 / (2 sigma_s^2) = (x^2 + y^2) / 2 for standard normal
+    x, y is a standard exponential E, so h_p = A0 exp(-E / gamma^2). One
+    normal and one exponential draw per gain, combined in the log domain.
+    """
+    ln_h = rng.standard_normal(n)
+    ln_h *= 2.0 * math.sqrt(d.sigma_x_sq)
+    ln_h += math.log(d.a0_h_l) - 2.0 * d.sigma_x_sq
+    e = rng.standard_exponential(n)
+    e /= d.gamma_sq
+    ln_h -= e
+    return np.exp(ln_h, out=ln_h)
+
+
+def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` gain samples, bit-reproducible for a given (seed, n).
+
+    These are exactly the gains :func:`mc_ber` draws for ``trials = n`` and
+    the same seed (see :func:`batch_generators`).
+    """
+    return np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(seed, n)])
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -70,8 +119,6 @@ def mc_ber(
     Intended trial counts are >= 1e4; the Wilson interval keeps the CI
     meaningful down to zero observed errors.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not (p_watts > 0 and math.isfinite(p_watts)):
         raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
     snr = link.responsivity_a_per_w * p_watts / link.noise_std
@@ -89,6 +136,5 @@ def mc_ber(
         ber=errors / trials,
         ci_low=ci_low,
         ci_high=ci_high,
-        seed=seed,
         low_confidence=(errors == 0),
     )

@@ -35,6 +35,13 @@ def test_power_grid_validation():
         power_grid(-4.0, 16.0, 0.0)
 
 
+@pytest.mark.parametrize("p_range", [(-4.0, 16.0, 5e-324), (-1e308, 1e308, 1.0)])
+def test_power_grid_rejects_a_grid_too_fine_to_count(p_range):
+    # (hi - lo) / step overflows; the grid size must not reach int() as inf
+    with pytest.raises(ValueError, match="sweep: step .* too small"):
+        power_grid(*p_range)
+
+
 NON_FINITE_SWEEPS = [
     tuple(bad if i == pos else good for i, good in enumerate((-4.0, 16.0, 0.5)))
     for pos in range(3)

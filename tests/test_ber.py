@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_ber import (
     PRESETS,
@@ -337,3 +340,52 @@ def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
     with pytest.raises(NonConvergenceError, match=r"segment \[0, "):
         ber_approx_prev(dbm_to_watts(-2.0), d, link)
     assert rules[0] <= 100
+
+
+# links over the domain the model accepts: pointing_std_m log-uniform in
+# [1e-3, 1] m, rytov_variance log-uniform in [1e-6, 1], case1's other fields;
+# P in [-10, 16] dBm
+LINK_DOMAIN = dict(
+    p_dbm=st.floats(-10.0, 16.0),
+    log_pointing=st.floats(-3.0, 0.0),
+    log_rytov=st.floats(-6.0, 0.0),
+)
+BER_FN = {BerMethod.EXACT: ber_exact, BerMethod.APPROX_NEW: ber_approx_new}
+METHODS = st.sampled_from(tuple(BER_FN))
+
+
+def _domain_link(log_pointing, log_rytov):
+    return LinkParams(**dict(PRESETS["case1"], pointing_std_m=10.0 ** log_pointing,
+                             rytov_variance=10.0 ** log_rytov))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(**LINK_DOMAIN)
+def test_exact_ber_within_zero_and_half(p_dbm, log_pointing, log_rytov):
+    link = _domain_link(log_pointing, log_rytov)
+    assert 0.0 <= ber_exact(dbm_to_watts(p_dbm), derive(link), link) <= 0.5
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(log_scale=st.floats(-3.0, 3.0), method=METHODS, **LINK_DOMAIN)
+def test_ber_invariant_under_joint_power_and_noise_scaling(
+    log_scale, method, p_dbm, log_pointing, log_rytov
+):
+    link = _domain_link(log_pointing, log_rytov)
+    k = 10.0 ** log_scale
+    scaled = replace(link, noise_std=link.noise_std * k)
+    p = dbm_to_watts(p_dbm)
+    assert math.isclose(BER_FN[method](p * k, derive(scaled), scaled),
+                        BER_FN[method](p, derive(link), link), rel_tol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(method=METHODS, **LINK_DOMAIN)
+def test_jitter_angle_matches_pointing_displacement(method, p_dbm, log_pointing, log_rytov):
+    link = _domain_link(log_pointing, log_rytov)
+    # mrad * km = m, so this angle gives the same displacement at the receiver
+    angular = replace(link, pointing_std_m=None,
+                      jitter_angle_mrad=link.pointing_std_m / link.link_length_km)
+    p = dbm_to_watts(p_dbm)
+    assert math.isclose(BER_FN[method](p, derive(angular), angular),
+                        BER_FN[method](p, derive(link), link), rel_tol=1e-9)

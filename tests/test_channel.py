@@ -19,7 +19,8 @@ from fso_ber import (
     sample_h,
     watts_to_dbm,
 )
-from fso_ber.channel import DerivedParams, draw_gains, gain_of, log_gain_of, log_gain_window
+from fso_ber.channel import DerivedParams, gain_of, log_gain_of, log_gain_window
+from fso_ber.montecarlo import draw_gains
 
 mp.mp.dps = 40
 

@@ -1,8 +1,11 @@
+import math
+from dataclasses import fields
+
 import pytest
 
-from fso_ber import ConfigError, PRESETS, RunConfig, load_config
+from fso_ber import ConfigError, LinkParams, PRESETS, RunConfig, load_config
 from fso_ber.ber import BerMethod
-from fso_ber.config import parse_config_text, parse_methods, parse_sweep, preset_config
+from fso_ber.config import _PARSERS, parse_config_text, parse_methods, parse_sweep, preset_config
 
 GOOD_CONFIG = """\
 # bench link
@@ -148,3 +151,24 @@ def test_runconfig_validation():
         RunConfig(link=link, seed=-1)
     with pytest.raises(ConfigError, match="sweep"):
         RunConfig(link=link, sweep=(4.0, -4.0, 0.5))
+    # each sweep fault is one problem, reported next to the other fields' problems
+    for sweep, others in [
+        ((-4.0, 16.0), {}),
+        ((-4.0, 16.0, math.inf), {}),
+        ((-4.0, 16.0, 5e-324), {}),
+        ((16.0, -4.0, -0.5), {"mc_trials": 0}),
+        ((-4.0, 16.0, 0.0), {"mc_trials": 0}),
+    ]:
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig(link=link, sweep=sweep, **others)
+        problems = excinfo.value.problems
+        assert len([p for p in problems if p.startswith("sweep: ")]) == 1
+        assert len(problems) == 1 + len(others)
+        assert all(any(p.startswith(f"{key}: ") for p in problems) for key in others)
+    with pytest.raises(ConfigError, match=r"sweep: expected \(lo, hi, step\)"):
+        RunConfig(link=link, sweep=(-4.0, 16.0))
+
+
+def test_every_config_field_has_a_parser():
+    run_fields = {f.name for f in fields(RunConfig)} - {"link"}
+    assert set(_PARSERS) == {f.name for f in fields(LinkParams)} | run_fields

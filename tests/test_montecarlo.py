@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from scipy.special import erfcinv
 from fso_ber import dbm_to_watts, fec_crossing, mc_ber, sample_h, wilson_interval
 from fso_ber import montecarlo
 from fso_ber.ber import BerMethod
-from fso_ber.channel import draw_gains
-from fso_ber.montecarlo import WILSON_Z99
+from fso_ber.montecarlo import WILSON_Z99, draw_gains
 
 
 def test_wilson_z_constant_matches_normal_quantile():
@@ -145,3 +146,18 @@ def test_trial_validation(links, deriveds):
 def test_non_finite_power_rejected(p_watts, links, deriveds):
     with pytest.raises(ValueError, match="finite"):
         mc_ber(p_watts, deriveds["case1"], links["case1"], trials=100, seed=1)
+
+
+def test_only_montecarlo_imports_numpy():
+    importers = set()
+    for path in Path(montecarlo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"montecarlo.py"}
