@@ -22,6 +22,8 @@ _P_FLOOR = -20.0
 _P_CEIL = 30.0
 # crossing search stops once the bracket is at most this wide, dB
 _RESOLUTION_DB = 1e-3
+# largest sweep grid accepted; the default sweep has 41 points
+_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,11 @@ def power_grid(lo: float, hi: float, step: float) -> list[float]:
     if not math.isfinite(span):
         raise ValueError(f"sweep: step {step!r} is too small for {lo!r} .. {hi!r}")
     n = int(math.floor(span + 1e-9)) + 1
+    if n > _MAX_POINTS:
+        raise ValueError(
+            f"sweep: {n:.6g} points from {lo!r} .. {hi!r} at step {step!r}; "
+            f"at most {_MAX_POINTS} are allowed"
+        )
     return [lo + i * step for i in range(n)]
 
 

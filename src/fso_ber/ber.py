@@ -79,13 +79,14 @@ def _integrand(kernel: Kernel, c: float, d: DerivedParams):
     s = d.log_gain_scale
     mu = d.mu
     b = d.beta
+    exp, inf, cutoff, density_of = math.exp, math.inf, _U_CUTOFF, log_gain_density
 
     def f(v: float) -> float:
         ln_u = ln_c + s * v - mu
-        u = math.exp(ln_u) if ln_u < 300.0 else math.inf
-        if u > _U_CUTOFF:
+        u = exp(ln_u) if ln_u < 300.0 else inf
+        if u > cutoff:
             return 0.0
-        density = log_gain_density(v, b, e, e_x)
+        density = density_of(v, b, e, e_x)
         if density == 0.0:
             # a kernel that grows as u -> 0 must not turn 0 into inf * 0
             return 0.0

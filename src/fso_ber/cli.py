@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--methods", metavar="LIST",
                        help="Comma list of exact,approx-new,approx-prev,mc "
                             "(default: exact,approx-new).")
-    p_run.add_argument("--sweep", metavar="LO:HI:STEP", help="Power grid in dBm (default -4:16:0.5).")
+    p_run.add_argument("--sweep", metavar="LO:HI:STEP",
+                       help="Power grid in dBm (default -4:16:0.5; at most 100000 points).")
     p_run.add_argument("--mc-trials", type=int, metavar="N", help="Monte Carlo trials per grid point.")
     p_run.add_argument("--seed", type=int, metavar="S", help="Master random seed.")
     p_run.add_argument("--fec-threshold", type=float, metavar="X", help="BER threshold for crossings.")

@@ -80,42 +80,68 @@ class QuadratureResult:
     converged: bool
 
 
+# (abscissa, Kronrod weight, Gauss weight or 0) of each symmetric node pair,
+# outermost first; the Gauss nodes are every second Kronrod node
+_PAIRS = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+
+
 def _rule(f, a: float, b: float):
-    """Apply Gauss 7 / Kronrod 15 on [a, b]; return (k15, error)."""
+    """Apply Gauss 7 / Kronrod 15 on [a, b]; return (k15, error).
+
+    Evaluates the center, then each -/+ node pair from the outermost inwards,
+    and raises :class:`~fso_ber.errors.IntegrandError` for the first of these
+    abscissae whose value is not finite.
+    """
+    abs_ = abs
+    pairs_w = _PAIRS
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
 
     fc = f(center)
-    resk = _WGK[7] * fc
+    wk_c = _WGK[7]
+    resk = wk_c * fc
     resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    lo_vals = [0.0] * 7
-    hi_vals = [0.0] * 7
-    for i in range(7):
-        dx = half * _XGK[i]
+    resabs = wk_c * abs_(fc)
+    pairs = []
+    for x, wk, wg in pairs_w:
+        dx = half * x
         flo = f(center - dx)
         fhi = f(center + dx)
-        lo_vals[i] = flo
-        hi_vals[i] = fhi
-        resk += _WGK[i] * (flo + fhi)
-        resabs += _WGK[i] * (abs(flo) + abs(fhi))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (flo + fhi)
+        pairs.append((flo, fhi))
+        both = flo + fhi
+        resk += wk * both
+        resabs += wk * (abs_(flo) + abs_(fhi))
+        if wg:
+            resg += wg * both
+    # the terms are non-negative, so an inf or nan value leaves resabs
+    # non-finite; resabs overflowing from finite values raises nothing
+    if not math.isfinite(resabs):
+        _raise_first_nonfinite(center, half, fc, pairs)
 
     mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(lo_vals[i] - mean) + abs(hi_vals[i] - mean))
+    resasc = wk_c * abs_(fc - mean)
+    for (_, wk, _), (flo, fhi) in zip(pairs_w, pairs):
+        resasc += wk * (abs_(flo - mean) + abs_(fhi - mean))
 
     value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
+    resabs *= abs_(half)
+    resasc *= abs_(half)
+    err = abs_((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > 0.0:
         err = max(err, 50.0 * _EPS * resabs)
     return value, err
+
+
+def _raise_first_nonfinite(center: float, half: float, fc: float, pairs: list) -> None:
+    nodes = [(center, fc)]
+    for (x, _, _), (flo, fhi) in zip(_PAIRS, pairs):
+        dx = half * x
+        nodes += ((center - dx, flo), (center + dx, fhi))
+    for x, y in nodes:
+        if not math.isfinite(y):
+            raise IntegrandError(x, y)
 
 
 # The rule's error estimate on [0, w] for 1/x, the same for every width w: the
@@ -134,8 +160,9 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     error of the interval they split (QUADPACK dqage's ``iroff2`` test; a
     non-integrable endpoint pole K/x keeps its error at K * POLE_ERROR on every
     halving). The partial value and its estimate are still returned so the
-    caller can decide. A non-finite integrand value raises
-    :class:`~fso_ber.errors.IntegrandError` naming the abscissa.
+    caller can decide. Finiteness is checked once per rule: a non-finite
+    integrand value raises :class:`~fso_ber.errors.IntegrandError` naming the
+    first non-finite abscissa in the rule's evaluation order.
     """
     if tol is None:
         tol = Tolerance()
@@ -144,13 +171,7 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     if not a < b:
         raise ValueError(f"integration requires a < b (got {a!r}, {b!r})")
 
-    def checked(x: float) -> float:
-        y = f(x)
-        if not math.isfinite(y):
-            raise IntegrandError(x, y)
-        return y
-
-    value, err = _rule(checked, a, b)
+    value, err = _rule(f, a, b)
     evaluations = 15
     # heap entries: (-error, tie_breaker, a, b, value, error)
     counter = 0
@@ -168,8 +189,8 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
         if not (ia < mid < ib):
             # interval narrower than float resolution; its error is irreducible
             continue
-        lval, lerr = _rule(checked, ia, mid)
-        rval, rerr = _rule(checked, mid, ib)
+        lval, lerr = _rule(f, ia, mid)
+        rval, rerr = _rule(f, mid, ib)
         evaluations += 30
         bisections += 1
         if bisections > _GROWING_AFTER and lerr + rerr > ierr:

@@ -9,7 +9,7 @@ method is given by its kernel pair (E, E_x) with E_x(z) = exp(z^2) E(z), the
 scaled form used for z >= 0 so that Gaussian factors combine instead of
 underflowing separately:
 
-* ``EXACT_KERNEL``      -- (erfc, erfcx).
+* ``EXACT_KERNEL``      -- (erfc, erfcx), erfcx from scipy returned as a Python float.
 * ``APPROX_KERNEL``     -- (erfc_approx, erfcx_approx).
 * ``ASYMPTOTIC_KERNEL`` -- the 1/z asymptotic exp(-z^2) / (z sqrt(pi)) of
   erfc and its scaled form 1 / (z sqrt(pi)); defined for z > 0 only.
@@ -18,12 +18,18 @@ underflowing separately:
 import math
 from typing import Callable, NamedTuple
 
-from scipy.special import erfcx
+from scipy.special import erfcx as _erfcx_ufunc
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _FOUR_OVER_PI = 4.0 / math.pi
 _PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
+
+
+def _erfcx(z: float) -> float:
+    # the ufunc returns numpy.float64, whose arithmetic would follow it into
+    # every sum of the BER integrand and the quadrature; the conversion is exact
+    return float(_erfcx_ufunc(z))
 
 
 def erfcx_approx(z: float) -> float:
@@ -63,6 +69,6 @@ class Kernel(NamedTuple):
     e_x: Callable[[float], float]
 
 
-EXACT_KERNEL = Kernel(math.erfc, erfcx)
+EXACT_KERNEL = Kernel(math.erfc, _erfcx)
 APPROX_KERNEL = Kernel(erfc_approx, erfcx_approx)
 ASYMPTOTIC_KERNEL = Kernel(_asymptotic, _asymptotic_x)

@@ -42,6 +42,13 @@ def test_power_grid_rejects_a_grid_too_fine_to_count(p_range):
         power_grid(*p_range)
 
 
+def test_power_grid_rejects_more_points_than_the_limit():
+    # 200 001 points: cheap to count, refused before any list is built
+    with pytest.raises(ValueError, match=r"^sweep: 200001 points .* at most 100000"):
+        power_grid(-4.0, 16.0, 1e-4)
+    assert len(power_grid(-4.0, 16.0, 20.0 / 99_999)) == 100_000
+
+
 NON_FINITE_SWEEPS = [
     tuple(bad if i == pos else good for i, good in enumerate((-4.0, 16.0, 0.5)))
     for pos in range(3)
@@ -104,6 +111,19 @@ def test_sweep_annotation_keeps_the_exception(monkeypatch, links, deriveds, work
               workers=workers)
     assert excinfo.value.abscissa == 0.25
     assert "x = 0.25" in str(excinfo.value)
+
+
+def test_sweep_annotates_an_integrand_error_from_a_ber_method(monkeypatch, links, deriveds):
+    # a scaled kernel returning nan makes the exact integrand non-finite for v >= 0
+    from fso_ber import ber
+    from fso_ber.special import Kernel
+
+    monkeypatch.setattr(ber, "EXACT_KERNEL", Kernel(math.erfc, lambda z: math.nan))
+    match = r"^exact failed at P = -4 dBm: integrand returned nan at x = "
+    with pytest.raises(IntegrandError, match=match) as excinfo:
+        sweep({BerMethod.EXACT}, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"])
+    assert excinfo.value.abscissa > 0.0
+    assert math.isnan(excinfo.value.value)
 
 
 def test_analytic_sweep_starts_no_thread(monkeypatch, links, deriveds):

@@ -22,7 +22,9 @@ from fso_ber import (
 )
 from fso_ber.ber import BerMethod
 from fso_ber.channel import gain_of, log_gain_window
+from fso_ber.channel import log_gain_pdf, pdf_h
 from fso_ber.errors import RegimeError
+from fso_ber.quadrature import integrate
 
 HALF_ERFC_1 = 0.07864960352514257  # (1/2) erfc(1)
 
@@ -389,3 +391,15 @@ def test_jitter_angle_matches_pointing_displacement(method, p_dbm, log_pointing,
     p = dbm_to_watts(p_dbm)
     assert math.isclose(BER_FN[method](p, derive(angular), angular),
                         BER_FN[method](p, derive(link), link), rel_tol=1e-9)
+
+
+def test_analytic_path_returns_python_floats(links, deriveds):
+    # numpy.float64 subclasses float, so isinstance would not tell them apart
+    link, d = links["case2"], deriveds["case2"]
+    for fn in (ber_exact, ber_approx_new, ber_approx_prev):
+        assert type(fn(dbm_to_watts(4.0), d, link)) is float, fn.__name__
+    for v in (-0.5, 1.0):
+        assert type(log_gain_pdf(v, d)) is float
+        assert type(pdf_h(gain_of(v, d), d)) is float
+    lo, hi = log_gain_window(d)
+    assert type(integrate(lambda v: log_gain_pdf(v, d), lo, hi).value) is float

@@ -169,6 +169,14 @@ def test_runconfig_validation():
         RunConfig(link=link, sweep=(-4.0, 16.0))
 
 
+def test_runconfig_rejects_a_sweep_with_too_many_points():
+    link = preset_config("case1").link
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(link=link, sweep=(-4.0, 16.0, 1e-4))
+    assert len(excinfo.value.problems) == 1
+    assert excinfo.value.problems[0].startswith("sweep: 200001 points ")
+
+
 def test_every_config_field_has_a_parser():
     run_fields = {f.name for f in fields(RunConfig)} - {"link"}
     assert set(_PARSERS) == {f.name for f in fields(LinkParams)} | run_fields

@@ -98,6 +98,41 @@ def test_nan_integrand_reports_abscissa():
     assert 0.4 < excinfo.value.abscissa < 0.6
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_integrand_reports_abscissa(bad):
+    def f(x):
+        return bad if 0.4 < x < 0.6 else 1.0
+
+    with pytest.raises(IntegrandError) as excinfo:
+        integrate(f, 0.0, 1.0)
+    assert 0.4 < excinfo.value.abscissa < 0.6
+    assert excinfo.value.value == bad
+
+
+# the first rule on [0, 1] evaluates 0.5, then 0.5 -/+ 0.5 * x for each Kronrod
+# abscissa x from the outermost inwards
+_OUTER = 0.5 * 0.991455371120812639206854697526329
+
+
+@pytest.mark.parametrize("bad_region, first", [
+    pytest.param(lambda x: x > 0.3, 0.5, id="center-and-above"),
+    pytest.param(lambda x: x < 0.3, 0.5 - _OUTER, id="below-only"),
+    pytest.param(lambda x: x > 0.7, 0.5 + _OUTER, id="above-only"),
+    pytest.param(lambda x: abs(x - 0.5) > 0.2, 0.5 - _OUTER, id="both-sides-not-center"),
+])
+def test_integrand_error_names_the_first_non_finite_node(bad_region, first):
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.nan if bad_region(x) else 1.0
+
+    with pytest.raises(IntegrandError) as excinfo:
+        integrate(f, 0.0, 1.0)
+    assert excinfo.value.abscissa == first
+    assert [x for x in seen if bad_region(x)][0] == first
+
+
 def test_budget_exhaustion_returns_unconverged():
     res = integrate(lambda x: math.sin(1.0 / (x + 1e-9)), 0.0, 1.0,
                     Tolerance(rel_tol=1e-12, max_evaluations=300))
