@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -84,9 +85,10 @@ def sweep(
 
     Analytic methods are evaluated at every grid point, serially: they are
     pure Python, which threads cannot run in parallel. Monte Carlo runs at
-    every grid point on ``workers`` threads, with per-point seeds spawned
-    deterministically from the master seed, so results do not depend on
-    evaluation order or worker count.
+    every grid point on at most ``workers`` threads, and never more threads
+    than grid points or CPUs this process may run on. Per-point seeds are
+    spawned deterministically from the master seed, so results do not depend
+    on evaluation order or worker count.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
@@ -118,9 +120,18 @@ def sweep(
     return curves
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_indexed(fn, n: int, workers: int, method: BerMethod, grid: list[float]):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, n, _cpu_count())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(fn, i) for i in range(n)]
         fn = lambda i: futures[i].result()  # noqa: E731
     results = [None] * n
@@ -238,6 +249,10 @@ def delta(
     Positive when ``method_b`` needs more power than ``method_a`` to reach the
     threshold; exactly antisymmetric under swapping the methods.
     """
-    p_a = fec_crossing(method_a, threshold, d, link).p_cross_dbm
-    p_b = fec_crossing(method_b, threshold, d, link).p_cross_dbm
-    return p_b - p_a
+    return power_gap(fec_crossing(method_a, threshold, d, link),
+                     fec_crossing(method_b, threshold, d, link))
+
+
+def power_gap(a: CrossingReport, b: CrossingReport) -> float:
+    """Power gap in dB from crossing ``a`` to crossing ``b``: p_cross(b) - p_cross(a)."""
+    return b.p_cross_dbm - a.p_cross_dbm

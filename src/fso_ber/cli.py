@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fec-threshold", type=float, metavar="X", help="BER threshold for crossings.")
     p_run.add_argument("--out", metavar="DIR", help="Output directory (default fso-ber-out).")
     p_run.add_argument("--workers", type=int, metavar="N",
-                       help="Parallel width for Monte Carlo points; analytic sweeps run "
-                            "serially. Results are identical for any value.")
+                       help="Most threads for Monte Carlo points, capped at the grid's "
+                            "points and the usable CPUs; analytic sweeps run serially. "
+                            "Results are identical for any value.")
     return parser
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .analysis import BerCurve, CrossingReport, fec_crossing, sweep
+from .analysis import BerCurve, CrossingReport, fec_crossing, power_gap, sweep
 from .ber import BerMethod
 from .channel import DerivedParams, derive
 from .config import RunConfig
@@ -147,10 +147,7 @@ def run(config: RunConfig) -> RunArtifacts:
         mc_curve = next(c for c in curves if c.method is BerMethod.MONTE_CARLO)
         mc_cross = _mc_crossing_dbm(mc_curve, config.fec_threshold)
 
-    deltas = {
-        (a, b): crossings[b].p_cross_dbm - crossings[a].p_cross_dbm
-        for a, b in combinations(crossings, 2)
-    }
+    deltas = {(a, b): power_gap(crossings[a], crossings[b]) for a, b in combinations(crossings, 2)}
 
     csv_text = render_csv(curves)
     report_text = render_report(config, d, crossings, mc_cross, deltas)

@@ -1,4 +1,6 @@
 import math
+import os
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from fso_ber import (
     fec_crossing,
     sweep,
 )
-from fso_ber.analysis import _ANALYTIC, power_grid
+from fso_ber.analysis import _ANALYTIC, power_gap, power_grid
 from fso_ber.ber import BerMethod
 
 FEC = 3.84e-3
@@ -152,6 +154,44 @@ def test_sweep_mc_deterministic_across_workers(links, deriveds):
     assert all(pt.ci_low is not None and pt.trials == 20_000 for pt in a.points)
 
 
+@pytest.mark.parametrize("sweep_dbm, threads", [((-4.0, 0.0, 2.0), 3), ((-4.0, 16.0, 0.5), 4)])
+def test_mc_pool_is_bounded_by_points_and_cpus(monkeypatch, links, deriveds, sweep_dbm, threads):
+    from fso_ber import analysis
+
+    sizes = []
+
+    class Recording:
+        """Runs each task at submit, on the calling thread; starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 4)
+    link, d = links["case1"], deriveds["case1"]
+    mc = McConfig(trials=1_000, seed=4242)
+    wide = sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, mc=mc, workers=10**6)
+    assert sizes == [threads]
+    assert wide == sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, mc=mc, workers=1)
+
+
+def test_cpu_count_is_a_usable_pool_size():
+    from fso_ber import analysis
+
+    assert 1 <= analysis._cpu_count() <= (os.cpu_count() or 1)
+
+
 def test_fec_crossing_case1_frozen(links, deriveds):
     report = fec_crossing(BerMethod.EXACT, FEC, deriveds["case1"], links["case1"])
     assert report.p_cross_dbm == pytest.approx(-1.0687, abs=2e-3)
@@ -236,6 +276,14 @@ def test_delta_antisymmetric(links, deriveds):
     ba = delta(BerMethod.APPROX_NEW, BerMethod.EXACT, FEC, d, link)
     assert ab == -ba
     assert delta(BerMethod.EXACT, BerMethod.EXACT, FEC, d, link) == 0.0
+
+
+def test_delta_is_the_gap_between_the_crossings(links, deriveds):
+    link, d = links["case2"], deriveds["case2"]
+    a = fec_crossing(BerMethod.EXACT, FEC, d, link)
+    b = fec_crossing(BerMethod.APPROX_NEW, FEC, d, link)
+    assert power_gap(a, b) == b.p_cross_dbm - a.p_cross_dbm
+    assert delta(BerMethod.EXACT, BerMethod.APPROX_NEW, FEC, d, link) == power_gap(a, b)
 
 
 def test_delta_case1_split_kernel_gap(links, deriveds):

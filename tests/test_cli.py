@@ -199,8 +199,8 @@ GOLDEN_DIGESTS = {
         "4df5f1fd5f41c8d907d908b3ff0c9278facff20f1824ce3ad9c12678beaa7df9",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
-        "f1f68bbdb0c3808d3cec7929a34cf93b2aeadb22c362183403c6d8a63dbf529a",
-        "12261a9caceb0e5b06ce6d085b49715bddc784eb285a1d7e1ccaeb00c3dbb32c",
+        "26d82060b1e4e6911a4a29bb9c1e143611462638e7e1496fa8a3fc51f6619899",
+        "d6bea46dbb369209caee190d60d52b46b6e412997428eb32835583b6fe5716f9",
     ),
 }
 

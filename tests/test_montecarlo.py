@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import erfcinv
 from fso_ber import dbm_to_watts, fec_crossing, mc_ber, sample_h, wilson_interval
 from fso_ber import montecarlo
 from fso_ber.ber import BerMethod
-from fso_ber.montecarlo import WILSON_Z99, draw_gains
+from fso_ber.montecarlo import _BATCH, WILSON_Z99, batch_generators, draw_gains
 
 
 def test_wilson_z_constant_matches_normal_quantile():
@@ -103,9 +104,56 @@ def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
         return h
 
     monkeypatch.setattr(montecarlo, "draw_gains", recording)
-    mc_ber(dbm_to_watts(0.0), d, link, trials=1_200_000, seed=5)
-    assert [h.size for h in drawn] == [1_000_000, 200_000]  # crosses the batch boundary
-    assert np.array_equal(np.concatenate(drawn), sample_h(d, 1_200_000, seed=5))
+    trials = _BATCH + _BATCH // 5  # crosses the batch boundary, ends in a ragged batch
+    mc_ber(dbm_to_watts(0.0), d, link, trials=trials, seed=5)
+    assert [h.size for h in drawn] == [_BATCH, _BATCH // 5]
+    assert np.array_equal(np.concatenate(drawn), sample_h(d, trials, seed=5))
+
+
+def test_batch_generators_are_made_as_consumed(monkeypatch):
+    children = np.random.SeedSequence(11).spawn(3)
+    spawned = []
+
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            # fail here, not by exhausting memory, if the batches are made eagerly
+            assert sum(spawned) <= len(children), "generators made ahead of use"
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    batches = batch_generators(11, 10**15)
+    assert spawned == []
+    for child in children:
+        rng, size = next(batches)
+        assert size == _BATCH
+        # batch i draws from the i-th child of one spawn(k)
+        assert rng.random() == np.random.default_rng(child).random()
+    assert spawned == [1] * len(children)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_batch_generators_reject_a_bad_count_at_the_call(n):
+    with pytest.raises(ValueError, match="draw count"):
+        batch_generators(1, n)  # not iterated
+
+
+def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
+    # numpy reports its buffers to tracemalloc; a float64 array of one batch
+    block = _BATCH * np.dtype(np.float64).itemsize
+    link, d = links["case1"], deriveds["case1"]
+    peaks = []
+    for trials in (100_000, 3_000_000):
+        tracemalloc.start()
+        try:
+            mc_ber(dbm_to_watts(0.0), d, link, trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # at most three float batches are alive at once: one batch's margins while
+    # the next batch draws its normals and exponentials
+    assert max(peaks) < 4 * block, peaks
+    assert abs(peaks[1] - peaks[0]) < block, peaks
 
 
 def test_interval_coverage_across_seeds(links, deriveds):
