@@ -23,7 +23,7 @@ from .errors import (
     NonMonotoneError,
     RegimeError,
 )
-from .montecarlo import McConfig, McEstimate, mc_ber, sample_h, wilson_interval
+from .montecarlo import McEstimate, mc_ber, sample_h, wilson_interval
 from .quadrature import QuadratureResult, Tolerance, integrate
 from .runner import RunArtifacts, run
 from .special import erfc_approx
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BerCurve", "BerPoint", "BerMethod", "BracketError", "ConfigError",
     "CrossingReport", "DerivedParams", "GeometryError", "IntegrandError",
-    "LinkParams", "McConfig", "McEstimate", "NonConvergenceError",
+    "LinkParams", "McEstimate", "NonConvergenceError",
     "NonMonotoneError", "PRESETS", "QuadratureResult", "RegimeError",
     "RunArtifacts", "RunConfig", "Tolerance",
     "ber_approx_new", "ber_approx_prev", "ber_conditional", "ber_exact",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
 from .errors import BracketError, NonMonotoneError
-from .montecarlo import McConfig, McEstimate, mc_ber, point_seeds
+from .montecarlo import McEstimate, mc_ber, point_seeds
 
 _ANALYTIC = {
     BerMethod.EXACT: ber_exact,
@@ -31,9 +31,7 @@ _MAX_POINTS = 100_000
 class BerPoint:
     p_dbm: float
     ber: float
-    ci_low: float | None = None
-    ci_high: float | None = None
-    trials: int | None = None
+    mc: McEstimate | None = None  # the Monte Carlo estimate behind ``ber``
 
 
 @dataclass(frozen=True)
@@ -78,44 +76,55 @@ def sweep(
     p_range_dbm: tuple[float, float, float],
     d: DerivedParams,
     link: LinkParams,
-    mc: McConfig | None = None,
+    mc_trials: int | None = None,
+    seed: int | None = None,
     workers: int = 1,
 ) -> list[BerCurve]:
     """One BER curve per requested method over a uniform dBm grid.
 
     Analytic methods are evaluated at every grid point, serially: they are
-    pure Python, which threads cannot run in parallel. Monte Carlo runs at
-    every grid point on at most ``workers`` threads, and never more threads
-    than grid points or CPUs this process may run on. Per-point seeds are
-    spawned deterministically from the master seed, so results do not depend
-    on evaluation order or worker count.
+    pure Python, which threads cannot run in parallel. Monte Carlo runs
+    ``mc_trials`` trials at every grid point on at most ``workers`` threads,
+    and never more threads than grid points or CPUs this process may run on;
+    each point keeps its :class:`McEstimate`. Per-point seeds are spawned
+    deterministically from the master ``seed``, so results do not depend on
+    evaluation order or worker count.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
         return []
     grid = power_grid(*p_range_dbm)
-    if BerMethod.MONTE_CARLO in wanted and mc is None:
-        raise ValueError("Monte Carlo requested but no McConfig given")
+    if BerMethod.MONTE_CARLO in wanted and (mc_trials is None or seed is None):
+        raise ValueError("Monte Carlo requested but mc_trials or seed not given")
 
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
-            seeds = point_seeds(mc.seed, len(grid))
+            seeds = point_seeds(seed, len(grid))
 
-            def eval_mc(i: int) -> BerPoint:
-                p = grid[i]
-                est: McEstimate = mc_ber(dbm_to_watts(p), d, link, mc.trials, seeds[i])
-                return BerPoint(p, est.ber, est.ci_low, est.ci_high, est.trials)
+            def point(i: int) -> BerPoint:
+                est = mc_ber(dbm_to_watts(grid[i]), d, link, mc_trials, seeds[i])
+                return BerPoint(grid[i], est.ber, est)
 
-            points = _map_indexed(eval_mc, len(grid), workers, method, grid)
+            threads = min(workers, len(grid), _cpu_count())
         else:
             fn = _ANALYTIC[method]
 
-            def eval_analytic(i: int, fn=fn) -> BerPoint:
-                p = grid[i]
-                return BerPoint(p, fn(dbm_to_watts(p), d, link))
+            def point(i: int) -> BerPoint:
+                return BerPoint(grid[i], fn(dbm_to_watts(grid[i]), d, link))
 
-            points = _map_indexed(eval_analytic, len(grid), 1, method, grid)
+            threads = 1
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(point, i) for i in range(len(grid))]
+            point = lambda i: futures[i].result()  # noqa: E731
+        points = []
+        for i, p in enumerate(grid):
+            try:
+                points.append(point(i))
+            except Exception as exc:
+                _annotate(exc, method, p)
+                raise
         curves.append(BerCurve(method, tuple(points)))
     return curves
 
@@ -126,22 +135,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _map_indexed(fn, n: int, workers: int, method: BerMethod, grid: list[float]):
-    threads = min(workers, n, _cpu_count())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, i) for i in range(n)]
-        fn = lambda i: futures[i].result()  # noqa: E731
-    results = [None] * n
-    for i in range(n):
-        try:
-            results[i] = fn(i)
-        except Exception as exc:
-            _annotate(exc, method, grid[i])
-            raise
-    return results
 
 
 def fec_crossing(

@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import load_config, parse_methods, parse_sweep
+from .config import _PARSERS, load_config
 from .errors import ConfigError
 from .runner import run
 
@@ -28,16 +28,20 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=("case1", "case2", "case3"),
                      help="Built-in operating point (shared bench parameters).")
     src.add_argument("--config", metavar="PATH", help="Key-value config file.")
-    p_run.add_argument("--methods", metavar="LIST",
+    # each override's dest is the RunConfig field it sets; main parses it like a config key
+    p_run.add_argument("--methods", dest="methods", metavar="LIST",
                        help="Comma list of exact,approx-new,approx-prev,mc "
                             "(default: exact,approx-new).")
-    p_run.add_argument("--sweep", metavar="LO:HI:STEP",
+    p_run.add_argument("--sweep", dest="sweep", metavar="LO:HI:STEP",
                        help="Power grid in dBm (default -4:16:0.5; at most 100000 points).")
-    p_run.add_argument("--mc-trials", type=int, metavar="N", help="Monte Carlo trials per grid point.")
-    p_run.add_argument("--seed", type=int, metavar="S", help="Master random seed.")
-    p_run.add_argument("--fec-threshold", type=float, metavar="X", help="BER threshold for crossings.")
-    p_run.add_argument("--out", metavar="DIR", help="Output directory (default fso-ber-out).")
-    p_run.add_argument("--workers", type=int, metavar="N",
+    p_run.add_argument("--mc-trials", dest="mc_trials", metavar="N",
+                       help="Monte Carlo trials per grid point.")
+    p_run.add_argument("--seed", dest="seed", metavar="S", help="Master random seed.")
+    p_run.add_argument("--fec-threshold", dest="fec_threshold", metavar="X",
+                       help="BER threshold for crossings.")
+    p_run.add_argument("--out", dest="output_path", metavar="DIR",
+                       help="Output directory (default fso-ber-out).")
+    p_run.add_argument("--workers", dest="workers", metavar="N",
                        help="Most threads for Monte Carlo points, capped at the grid's "
                             "points and the usable CPUs; analytic sweeps run serially. "
                             "Results are identical for any value.")
@@ -66,16 +70,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_merge_negative_sweep(argv))
     try:
         config = load_config(args.preset or args.config)
-        overrides = dict(
-            methods=parse_methods(args.methods) if args.methods else None,
-            sweep=parse_sweep(args.sweep) if args.sweep else None,
-            mc_trials=args.mc_trials,
-            seed=args.seed,
-            fec_threshold=args.fec_threshold,
-            output_path=args.out,
-            workers=args.workers,
-        )
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        given = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
+        problems = []
+        for key, text in given.items():
+            try:
+                given[key] = _PARSERS[key](text)
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
+        if problems:
+            raise ConfigError(problems)
+        config = replace(config, **given)
     except (ConfigError, ValueError) as exc:
         print(f"fso-ber: {exc}", file=sys.stderr)
         return 2

@@ -150,24 +150,21 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         problems.append(f"{origin}: one of pointing_std_m / jitter_angle_mrad is required")
         link_complete = False
 
-    # validate the link even when other fields are broken, so every problem
-    # surfaces in one pass
+    # validate the link and the run fields even when other fields are broken,
+    # so every problem surfaces in one pass
     link = None
     if link_complete:
         try:
             link = LinkParams(**link_kwargs)
         except ValueError as exc:
             problems.append(f"{origin}: {exc}")
-    if link is not None:
-        try:
-            return_config = RunConfig(link=link, **run_kwargs)
-            if not problems:
-                return return_config
-        except ConfigError as exc:
-            problems.extend(f"{origin}: {p}" for p in exc.problems)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{origin}: {exc}")
-    raise ConfigError(problems)
+    try:
+        config = RunConfig(link=link, **run_kwargs)
+    except ConfigError as exc:
+        problems.extend(f"{origin}: {p}" for p in exc.problems)
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 def load_config(source: str) -> RunConfig:

@@ -33,14 +33,6 @@ WILSON_Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
-class McConfig:
-    """Monte Carlo settings carried through sweeps."""
-
-    trials: int = 1_000_000
-    seed: int = 12345
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """BER point estimate with a 99% Wilson score interval."""
 
@@ -97,9 +89,14 @@ def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` gain samples, bit-reproducible for a given (seed, n).
 
     These are exactly the gains :func:`mc_ber` draws for ``trials = n`` and
-    the same seed (see :func:`batch_generators`).
+    the same seed (see :func:`batch_generators`). Each batch is written into
+    the result as it is drawn, so the peak is the result plus one batch.
     """
-    return np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(seed, n)])
+    batches = batch_generators(seed, n)  # checks n before the allocation
+    h = np.empty(n)
+    for start, (rng, size) in zip(range(0, n, _BATCH), batches):
+        h[start:start + size] = draw_gains(rng, d, size)
+    return h
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:

@@ -19,7 +19,6 @@ from .ber import BerMethod
 from .channel import DerivedParams, derive
 from .config import RunConfig
 from .errors import BracketError
-from .montecarlo import McConfig
 
 CSV_HEADER = "p_dbm,ber_exact,ber_approx_new,ber_approx_prev,ber_mc,mc_ci_low,mc_ci_high,mc_trials"
 
@@ -50,7 +49,7 @@ def render_csv(curves: list[BerCurve]) -> str:
         mc = by_method.get(BerMethod.MONTE_CARLO)
         if mc:
             pt = mc.points[i]
-            row += [_sci(pt.ber), _sci(pt.ci_low), _sci(pt.ci_high), str(pt.trials)]
+            row += [_sci(pt.ber), _sci(pt.mc.ci_low), _sci(pt.mc.ci_high), str(pt.mc.trials)]
         else:
             row += ["", "", "", ""]
         lines.append(",".join(row))
@@ -124,15 +123,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def run(config: RunConfig) -> RunArtifacts:
     """Execute one configured run and write curves.csv and report.txt."""
     d = derive(config.link)
-    mc = (
-        McConfig(trials=config.mc_trials, seed=config.seed)
-        if BerMethod.MONTE_CARLO in config.methods
-        else None
-    )
-    curves = sweep(
-        config.methods, config.sweep, d, config.link,
-        mc=mc, workers=config.workers,
-    )
+    curves = sweep(config.methods, config.sweep, d, config.link, mc_trials=config.mc_trials,
+                   seed=config.seed, workers=config.workers)
 
     analytic = [m for m in config.methods if m.is_analytic]
     crossings: dict[BerMethod, CrossingReport] = {}

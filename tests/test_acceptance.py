@@ -34,7 +34,6 @@ from scipy.special import erfc as erfc_vec
 from scipy.stats import kstest
 
 from fso_ber import (
-    McConfig,
     NonConvergenceError,
     RunConfig,
     Tolerance,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fso_ber import (
     BracketError,
     IntegrandError,
-    McConfig,
     NonConvergenceError,
     NonMonotoneError,
     dbm_to_watts,
@@ -147,11 +146,29 @@ def test_sweep_mc_requires_config(links, deriveds):
 
 def test_sweep_mc_deterministic_across_workers(links, deriveds):
     link, d = links["case1"], deriveds["case1"]
-    mc = McConfig(trials=20_000, seed=4242)
-    (a,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), d, link, mc=mc, workers=1)
-    (b,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), d, link, mc=mc, workers=3)
+    mc = dict(mc_trials=20_000, seed=4242)
+    (a,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), d, link, **mc, workers=1)
+    (b,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), d, link, **mc, workers=3)
     assert a == b
-    assert all(pt.ci_low is not None and pt.trials == 20_000 for pt in a.points)
+    assert all(pt.mc.ci_low is not None and pt.mc.trials == 20_000 for pt in a.points)
+
+
+@pytest.mark.parametrize("mc", [dict(mc_trials=1_000), dict(seed=4242)])
+def test_sweep_mc_requires_trials_and_seed(mc, links, deriveds):
+    with pytest.raises(ValueError, match="mc_trials or seed"):
+        sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"], **mc)
+
+
+def test_sweep_mc_points_keep_their_estimates(links, deriveds):
+    from fso_ber.montecarlo import mc_ber, point_seeds
+
+    link, d = links["case1"], deriveds["case1"]
+    (curve,) = sweep({BerMethod.MONTE_CARLO}, (8.0, 12.0, 2.0), d, link, mc_trials=1_000, seed=7)
+    seeds = point_seeds(7, 3)
+    for pt, seed in zip(curve.points, seeds):
+        assert pt.mc == mc_ber(dbm_to_watts(pt.p_dbm), d, link, 1_000, seed)
+        assert pt.ber == pt.mc.ber
+    assert any(pt.mc.low_confidence for pt in curve.points)
 
 
 @pytest.mark.parametrize("sweep_dbm, threads", [((-4.0, 0.0, 2.0), 3), ((-4.0, 16.0, 0.5), 4)])
@@ -180,10 +197,10 @@ def test_mc_pool_is_bounded_by_points_and_cpus(monkeypatch, links, deriveds, swe
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 4)
     link, d = links["case1"], deriveds["case1"]
-    mc = McConfig(trials=1_000, seed=4242)
-    wide = sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, mc=mc, workers=10**6)
+    mc = dict(mc_trials=1_000, seed=4242)
+    wide = sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, **mc, workers=10**6)
     assert sizes == [threads]
-    assert wide == sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, mc=mc, workers=1)
+    assert wide == sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, **mc, workers=1)
 
 
 def test_cpu_count_is_a_usable_pool_size():

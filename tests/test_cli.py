@@ -183,6 +183,24 @@ def test_cli_non_finite_sweep_rejected_before_any_work(sweep, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--mc-trials", "abc", "mc_trials"), ("--fec-threshold", "x", "fec_threshold"),
+    ("--workers", "1.5", "workers"), ("--methods", "", "methods"), ("--sweep", "", "sweep"),
+])
+def test_cli_overrides_parse_like_config_keys(option, value, field, tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError(f"run started with {option} {value!r}")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", option, value, "--out", str(out)])
+    assert code == 2
+    assert f"{field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of (curves.csv, report.txt) for whole CLI runs of a preset with the
 # given methods and otherwise default settings.
 GOLDEN_DIGESTS = {

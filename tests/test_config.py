@@ -109,6 +109,27 @@ def test_missing_fields_rejected():
         parse_config_text("wavelength_nm = 1550\n")
 
 
+def test_run_fields_checked_with_a_bad_link():
+    bad = (GOOD_CONFIG.replace("rytov_variance = 0.1", "rytov_variance = 2")
+           .replace("mc_trials = 250000", "mc_trials = 0").replace("seed = 31415", "seed = -1"))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(bad)
+    problems = excinfo.value.problems
+    assert len(problems) == 3
+    assert "weak-turbulence" in problems[0]
+    assert "mc_trials" in problems[1] and "seed" in problems[2]
+
+
+def test_run_fields_checked_with_a_missing_link_field():
+    bad = GOOD_CONFIG.replace("noise_std = 1e-7\n", "").replace("mc_trials = 250000", "mc_trials = 0")
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(bad)
+    problems = excinfo.value.problems
+    assert len(problems) == 2
+    assert "missing required link fields: noise_std" in problems[0]
+    assert "mc_trials" in problems[1]
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "link.cfg"
     path.write_text(GOOD_CONFIG)

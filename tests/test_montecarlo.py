@@ -156,6 +156,20 @@ def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
     assert abs(peaks[1] - peaks[0]) < block, peaks
 
 
+def test_sample_h_peak_is_its_result_plus_one_batch(deriveds):
+    d = deriveds["case2"]
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        h = sample_h(d, n, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= h.nbytes + 1_000_000, (peak, h.nbytes)
+    expected = np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(8, n)])
+    assert np.array_equal(h, expected)
+
+
 def test_interval_coverage_across_seeds(links, deriveds):
     from fso_ber import ber_exact
 
