@@ -68,15 +68,19 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_sweep(argv))
+    # the overrides parse apart from the config source, so one pass reports both
+    given = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
+    problems = []
+    for key, text in given.items():
+        try:
+            given[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
     try:
         config = load_config(args.preset or args.config)
-        given = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
-        problems = []
-        for key, text in given.items():
-            try:
-                given[key] = _PARSERS[key](text)
-            except ValueError as exc:
-                problems.append(f"{key}: {exc}")
+    except ConfigError as exc:
+        problems = exc.problems + problems
+    try:
         if problems:
             raise ConfigError(problems)
         config = replace(config, **given)

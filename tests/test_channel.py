@@ -208,7 +208,7 @@ def test_draw_gains_matches_three_normal_construction(case, deriveds):
     else:
         d = deriveds[case]
     n = 200_000
-    fast = draw_gains(np.random.default_rng(2024), d, n)
+    fast = draw_gains(np.random.default_rng(2024), d, n, np.empty(n), np.empty(n))
     direct = _three_normal_gains(np.random.default_rng(4202), d, n)
     assert ks_2samp(fast, direct).pvalue > 0.01
 

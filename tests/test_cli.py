@@ -86,7 +86,9 @@ def test_run_without_mc_never_builds_a_generator(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("random generator constructed in a deterministic run")
 
-    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    # batch_generators builds Generator(SFC64(child)); either call fails the run
+    monkeypatch.setattr(np.random, "SFC64", forbidden)
+    monkeypatch.setattr(np.random, "Generator", forbidden)
     run(_fast_config(tmp_path / "a"))
 
 
@@ -134,6 +136,26 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "missing required link fields" in capsys.readouterr().err
+
+
+def test_cli_reports_file_and_override_problems_in_one_pass(tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError("run started with an invalid configuration")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    path = tmp_path / "two.cfg"
+    path.write_text("wavelength_nm = 1550\nmc_trials = 0\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--mc-trials", "abc", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "missing required link fields" in err
+    assert "one of pointing_std_m / jitter_angle_mrad is required" in err
+    assert "mc_trials: must be >= 1 (got 0)" in err
+    assert "mc_trials: invalid literal for int() with base 10: 'abc'" in err
+    assert not out.exists()
 
 
 def test_cli_reports_failing_power_point(tmp_path, capsys):
@@ -217,8 +239,8 @@ GOLDEN_DIGESTS = {
         "4df5f1fd5f41c8d907d908b3ff0c9278facff20f1824ce3ad9c12678beaa7df9",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
-        "26d82060b1e4e6911a4a29bb9c1e143611462638e7e1496fa8a3fc51f6619899",
-        "d6bea46dbb369209caee190d60d52b46b6e412997428eb32835583b6fe5716f9",
+        "1caaa8d41a898f2ecfb4a3e84d8f6e9b02bb3af22ec5f0234f8642b45a9a44fb",
+        "1a28b134fedcb4e00f25c254704edfd1c77b092f5186f0e773ea2d2cfc5685fa",
     ),
 }
 

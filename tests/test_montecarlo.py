@@ -52,8 +52,12 @@ def test_estimate_is_deterministic(links, deriveds):
 
 def _pin_gain(monkeypatch, h):
     """Disable fading: every trial sees gain h, so mc_ber checks the detection
-    model alone. The noise is drawn from the same stream as with fading."""
-    monkeypatch.setattr(montecarlo, "draw_gains", lambda rng, d, n: np.full(n, h))
+    model alone. The stub draws nothing, so the noise is each batch's first draw."""
+    def pinned(rng, d, n, out, e):
+        out[:n] = h
+        return out[:n]
+
+    monkeypatch.setattr(montecarlo, "draw_gains", pinned)
 
 
 def test_zero_error_outcome_flagged(links, deriveds, monkeypatch):
@@ -98,8 +102,8 @@ def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
     drawn = []
 
-    def recording(rng, d, n):
-        h = draw_gains(rng, d, n)
+    def recording(rng, d, n, out, e):
+        h = draw_gains(rng, d, n, out, e)
         drawn.append(h.copy())
         return h
 
@@ -128,7 +132,7 @@ def test_batch_generators_are_made_as_consumed(monkeypatch):
         rng, size = next(batches)
         assert size == _BATCH
         # batch i draws from the i-th child of one spawn(k)
-        assert rng.random() == np.random.default_rng(child).random()
+        assert rng.random() == np.random.Generator(np.random.SFC64(child)).random()
     assert spawned == [1] * len(children)
 
 
@@ -150,9 +154,8 @@ def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # at most three float batches are alive at once: one batch's margins while
-    # the next batch draws its normals and exponentials
-    assert max(peaks) < 4 * block, peaks
+    # the call's buffers, allocated once: two float batches and one bool batch
+    assert max(peaks) <= 2 * block + _BATCH + 65_536, peaks
     assert abs(peaks[1] - peaks[0]) < block, peaks
 
 
@@ -165,8 +168,10 @@ def test_sample_h_peak_is_its_result_plus_one_batch(deriveds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= h.nbytes + 1_000_000, (peak, h.nbytes)
-    expected = np.concatenate([draw_gains(rng, d, size) for rng, size in batch_generators(8, n)])
+    block = _BATCH * np.dtype(np.float64).itemsize
+    assert peak <= h.nbytes + block + 65_536, (peak, h.nbytes)
+    expected = np.concatenate([draw_gains(rng, d, size, np.empty(size), np.empty(size))
+                               for rng, size in batch_generators(8, n)])
     assert np.array_equal(h, expected)
 
 
