@@ -15,8 +15,10 @@ Four routes to the same quantity:
 
 All averages are computed in the normalized log-gain variable v (see
 :mod:`fso_ber.channel`), an exact change of variables under which the split
-point h_hat maps to v = 0, over the finite window
-:func:`fso_ber.channel.log_gain_window`. Direct gain-space quadrature is
+point h_hat maps to v = 0, only where the integrand has mass: over the window
+:func:`fso_ber.channel.log_gain_window`, clipped above where the scaled gain u
+reaches _U_CUTOFF, past which the integrand is exactly 0. A power whose
+clipped window is empty has BER 0.0. Direct gain-space quadrature is
 numerically untrustworthy here: for strong-turbulence presets the integrand
 mass occupies a ~1e-3 relative sliver of the domain that low-order panel rules
 can miss entirely, converging confidently to nonsense.
@@ -95,9 +97,26 @@ def _integrand(kernel: Kernel, c: float, d: DerivedParams):
     return f
 
 
-def _v_breakpoints(d: DerivedParams, c: float, lo: float, hi: float) -> list[float]:
-    """Segment boundaries at the density peak and the detection transition."""
-    v_u1 = -(math.log(c * d.a0_h_l) - d.mu) / d.log_gain_scale  # u(v_u1) = 1
+def _v_at(u: float, c: float, d: DerivedParams) -> float:
+    """The v at which the scaled gain u = c h(v) takes the value u."""
+    return (math.log(u) - math.log(c * d.a0_h_l) + d.mu) / d.log_gain_scale
+
+
+def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list[float]:
+    """Segment boundaries of the window where the integrand has mass, or [] if
+    there is none.
+
+    The window is :func:`fso_ber.channel.log_gain_window` from ``start`` on,
+    clipped above where u reaches _U_CUTOFF: past that the integrand is 0.
+    Inside it, the boundaries sit at the density peak and the detection
+    transition.
+    """
+    lo, hi = log_gain_window(d)
+    lo = max(lo, start)
+    hi = min(hi, _v_at(_U_CUTOFF, c, d))
+    if hi <= lo:
+        return []
+    v_u1 = _v_at(1.0, c, d)
     width = 2.0 / d.log_gain_scale
     candidates = [0.0, 0.5 * d.beta, v_u1 - width, v_u1, v_u1 + width]
     pts = [lo]
@@ -128,9 +147,8 @@ def _ber_average(
 ) -> float:
     """The kernel pair's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
-    lo, hi = log_gain_window(d)
     return _integrate_segments(
-        _integrand(kernel, c, d), _v_breakpoints(d, c, lo, hi), tol or Tolerance(),
+        _integrand(kernel, c, d), _v_breakpoints(d, c), tol or Tolerance(),
         f"{what} at {watts_to_dbm(p_watts):.3f} dBm",
     )
 
@@ -176,6 +194,14 @@ def ber_approx_prev(
     :class:`NonConvergenceError` without refining. Regimes with beta^2/4 or
     u0^2 large suppress K and converge cleanly.
 
+    The integral starts at max(0, lo), lo being the lower end of
+    :func:`fso_ber.channel.log_gain_window`. For beta >= 2 sqrt(120) that is
+    lo = beta/2 - sqrt(120) > 0. On the [0, lo] left out, exp(-(v - beta/2)^2)
+    is below exp(-120) of its peak value, and the 1/u kernel tilts the
+    integrand by at most exp(s (beta/2 - v)) with s = sqrt(8 sigma_X^2) <=
+    sqrt(2). So, its 1/v factor aside, that segment stays below exp(-104) of
+    the peak, and the factor exp(-beta^2/4) of K is below exp(-120).
+
     At low power the kernel 1/(u sqrt(pi)), unbounded as u -> 0, can carry the
     integral above 0.5; such a result raises :class:`RegimeError` instead of
     being returned as a BER.
@@ -188,8 +214,9 @@ def ber_approx_prev(
     tol = replace(tol, abs_tol=tol.abs_tol * prefactor)
     f = _integrand(ASYMPTOTIC_KERNEL, c, d)
 
-    lo, hi = log_gain_window(d)
-    pts = [0.0] + [p for p in _v_breakpoints(d, c, lo, hi) if p > 0.0]
+    pts = _v_breakpoints(d, c, 0.0)
+    if not pts:
+        return 0.0
     what = f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm"
     u0 = c * d.h_hat
     k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 <= _U_CUTOFF else 0.0

@@ -24,6 +24,10 @@ from dataclasses import dataclass
 from .errors import GeometryError, RegimeError
 from .special import EXACT_KERNEL
 
+# log_gain_window drops at most exp(-_TAIL) of the mass below its lower end
+_TAIL = 120.0
+_SQRT_TAIL = math.sqrt(_TAIL)
+
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
@@ -171,11 +175,17 @@ def log_gain_window(d: DerivedParams) -> tuple[float, float]:
 
     Above the density's peak at v = beta/2 the mass falls off as a unit-width
     Gaussian; the upper end sits six of those widths above it, where the
-    density's erfc factor is below erfc(6) < 1e-17. Below the lower end the
-    exp(beta v - beta^2/4) tail is below exp(-120).
+    density's erfc factor is below erfc(6) < 1e-17. The lower end follows two
+    bounds on the density: (beta/2) exp(-(v - beta/2)^2) for v >= 0 and
+    beta exp(beta v - beta^2/4) for v < 0. For beta >= 2 sqrt(120) it sits
+    sqrt(120) below the peak, past which that Gaussian holds about exp(-120)
+    of the mass, and the whole v < 0 part holds at most exp(-beta^2/4) <=
+    exp(-120). For smaller beta it is where the exponential tail below it
+    holds exp(-120). The two ends meet at 0 when beta = 2 sqrt(120).
     """
     b = d.beta
-    return min(-8.0, 0.25 * b - 120.0 / b), 0.5 * b + 6.0
+    lo = 0.5 * b - _SQRT_TAIL if b >= 2.0 * _SQRT_TAIL else 0.25 * b - _TAIL / b
+    return lo, 0.5 * b + 6.0
 
 
 def log_gain_density(v: float, b: float, e, e_x) -> float:

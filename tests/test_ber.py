@@ -248,7 +248,7 @@ PINNED = {
     ("case2", -2.0): ("0x1.6e620ad3595f0p-5", "0x1.8334ca959f511p-5", "0x1.32a22fc610cbfp-4"),
     ("case2", 4.0): ("0x1.01713c898cd44p-10", "0x1.0eee6ddb01544p-10", "0x1.588745d8b375fp-10"),
     ("case2", 10.0): ("0x1.72829bef98b8fp-20", "0x1.83c0edf7e8ba2p-20", "0x1.c3e62bd199fa3p-20"),
-    ("case3", -2.0): ("0x1.47b692b4e8148p-4", "0x1.586a6cfc82067p-4", "0x1.640918e520709p-3"),
+    ("case3", -2.0): ("0x1.47b692b4e8149p-4", "0x1.586a6cfc82067p-4", "0x1.640918e520709p-3"),
     ("case3", 4.0): ("0x1.ce5f0f035b09cp-8", "0x1.e69fc83e6bd30p-8", "0x1.6feb6aa762909p-7"),
     ("case3", 10.0): ("0x1.18c204dbc336ap-13", "0x1.26844e6b92d56p-13", "0x1.7ec5e9493c6fbp-13"),
 }
@@ -301,12 +301,11 @@ def _large_beta_link():
     return link, d
 
 
-@pytest.mark.parametrize("p_dbm, expected", [(6.0, 0.004722417111999788)])
+@pytest.mark.parametrize("p_dbm, expected", [(6.0, 0.004752522640039319)])
 def test_approx_prev_at_large_beta(p_dbm, expected):
-    # abs_tol applies to the integral without its beta / (4 pi) prefactor, as
-    # in the printed form: applied to the prefactored integral it refines
-    # further and moves the value by 6e-3 relative, since the integral's value
-    # follows how far refinement goes.
+    # mpmath integrates the same legacy integrand to 0.0047525226400399. The
+    # mass lies within a few units of the density peak at v = beta/2 ~ 770:
+    # a segment about beta/2 long ending there misses part of it (0.6 % low).
     link, d = _large_beta_link()
     assert ber_approx_prev(dbm_to_watts(p_dbm), d, link) == pytest.approx(expected, rel=1e-13)
 
