@@ -37,9 +37,15 @@ import enum
 import math
 from dataclasses import replace
 
-from .channel import DerivedParams, LinkParams, log_gain_density, log_gain_window, watts_to_dbm
+from .channel import (
+    DerivedParams,
+    LinkParams,
+    log_gain_window,
+    watts_to_dbm,
+    weighted_log_gain_density,
+)
 from .errors import NonConvergenceError, RegimeError
-from .quadrature import POLE_ERROR, Tolerance, integrate
+from .quadrature import DEFAULT_TOLERANCE, POLE_ERROR, Tolerance, _rule, integrate
 from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel
 
 _LN2 = math.log(2.0)
@@ -76,25 +82,7 @@ def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams
 
 def _integrand(kernel: Kernel, c: float, d: DerivedParams):
     """v-space BER integrand 0.5 E(u) (beta/2) D_E(v) of one kernel pair."""
-    e, e_x = kernel
-    ln_c = math.log(c * d.a0_h_l)
-    s = d.log_gain_scale
-    mu = d.mu
-    b = d.beta
-    exp, inf, cutoff, density_of = math.exp, math.inf, _U_CUTOFF, log_gain_density
-
-    def f(v: float) -> float:
-        ln_u = ln_c + s * v - mu
-        u = exp(ln_u) if ln_u < 300.0 else inf
-        if u > cutoff:
-            return 0.0
-        density = density_of(v, b, e, e_x)
-        if density == 0.0:
-            # a kernel that grows as u -> 0 must not turn 0 into inf * 0
-            return 0.0
-        return 0.5 * e(u) * density
-
-    return f
+    return weighted_log_gain_density(d, kernel, c, kernel.e, _U_CUTOFF)
 
 
 def _v_at(u: float, c: float, d: DerivedParams) -> float:
@@ -127,13 +115,23 @@ def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list
     return pts
 
 
-def _integrate_segments(f, pts: list[float], tol: Tolerance, what: str) -> float:
+def _label(what: str, p_watts: float) -> str:
+    return f"{what} at {watts_to_dbm(p_watts):.3f} dBm"
+
+
+def _integrate_segments(
+    f, pts: list[float], tol: Tolerance, what: str, p_watts: float,
+    first_rule: tuple[float, float] | None = None,
+) -> float:
+    """The sum of the integrals over consecutive segments of ``pts``; ``first_rule``
+    is the rule already applied to the first segment, if any."""
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        res = integrate(f, a, b, tol)
+        res = integrate(f, a, b, tol, first_rule)
+        first_rule = None
         if not res.converged:
             raise NonConvergenceError(
-                f"{what}: quadrature did not reach tolerance on segment "
+                f"{_label(what, p_watts)}: quadrature did not reach tolerance on segment "
                 f"[{a:.6g}, {b:.6g}] (error estimate {res.error_estimate:.3e} "
                 f"after {res.evaluations} evaluations)"
             )
@@ -148,8 +146,7 @@ def _ber_average(
     """The kernel pair's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
     return _integrate_segments(
-        _integrand(kernel, c, d), _v_breakpoints(d, c), tol or Tolerance(),
-        f"{what} at {watts_to_dbm(p_watts):.3f} dBm",
+        _integrand(kernel, c, d), _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE, what, p_watts,
     )
 
 
@@ -206,7 +203,7 @@ def ber_approx_prev(
     integral above 0.5; such a result raises :class:`RegimeError` instead of
     being returned as a BER.
     """
-    tol = tol or Tolerance()
+    tol = tol or DEFAULT_TOLERANCE
     c = _snr_scale(p_watts, link)
     b = d.beta
     prefactor = b / (4.0 * math.pi)
@@ -217,22 +214,23 @@ def ber_approx_prev(
     pts = _v_breakpoints(d, c, 0.0)
     if not pts:
         return 0.0
-    what = f"legacy BER approximation at {watts_to_dbm(p_watts):.3f} dBm"
+    what = "legacy BER approximation"
     u0 = c * d.h_hat
     k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 <= _U_CUTOFF else 0.0
-    endpoint_estimate = integrate(f, pts[0], pts[1], replace(tol, max_evaluations=15)).value
-    target = tol.target(endpoint_estimate)
+    # the endpoint segment's first rule estimates its target, and stays its first rule
+    first_rule = _rule(f, pts[0], pts[1])
+    target = tol.target(first_rule[0])
     if k * POLE_ERROR > target:
         raise NonConvergenceError(
-            f"{what}: the integrand is log-divergent at its lower endpoint; its K/v "
-            f"term adds K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off and "
+            f"{_label(what, p_watts)}: the integrand is log-divergent at its lower endpoint; "
+            f"its K/v term adds K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off and "
             f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
             f"target {target:.3e}"
         )
-    value = _integrate_segments(f, pts, tol, what)
+    value = _integrate_segments(f, pts, tol, what, p_watts, first_rule)
     if value > 0.5:
         raise RegimeError(
-            f"{what}: the result {value:.6g} is above 0.5 and so not a bit-error "
+            f"{_label(what, p_watts)}: the result {value:.6g} is above 0.5 and so not a bit-error "
             "probability; the legacy 1/u kernel exceeds erfc(u) at small u, where "
             "this approximation does not hold"
         )

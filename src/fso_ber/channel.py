@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError, RegimeError
-from .special import EXACT_KERNEL
+from .special import EXACT_KERNEL, Kernel
 
 # log_gain_window drops at most exp(-_TAIL) of the mass below its lower end
 _TAIL = 120.0
@@ -188,26 +188,55 @@ def log_gain_window(d: DerivedParams) -> tuple[float, float]:
     return lo, 0.5 * b + 6.0
 
 
-def log_gain_density(v: float, b: float, e, e_x) -> float:
-    """(b/2) exp(b v - b^2/4) E(v): the log-gain density with erfc replaced by
-    the stand-in E of a kernel pair (E, E_x), see :mod:`fso_ber.special`.
+def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight, u_max: float):
+    """v -> 0.5 weight(u) f_E(v) with u = c h(v): the v-space integrand of the
+    average of 0.5 weight(c h) over the gain density, with erfc replaced by the
+    stand-in E of a kernel pair (E, E_x), see :mod:`fso_ber.special`.
 
-    Evaluated through E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian
-    factors combine into exp(-(v - b/2)^2) and nothing overflows however large
-    b gets.
+    It is 0 where u > u_max, and wherever the density is 0, so that a weight
+    that grows as u -> 0 cannot turn 0 into inf * 0. The density
+    f_E(v) = (b/2) exp(b v - b^2/4) E(v) is evaluated through
+    E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian factors combine into
+    exp(-(v - b/2)^2) and nothing overflows however large b gets. This is the
+    only place the density's two branches are written: the BER integrands take
+    weight = E, and the density alone is weight = 2, since 0.5 * 2 is exactly 1.
     """
-    if v >= 0.0:
-        t = v - 0.5 * b
-        return 0.5 * b * e_x(v) * math.exp(-t * t)
-    exponent = b * v - 0.25 * b * b
-    if exponent < -700.0:
-        return 0.0
-    return 0.5 * b * e(v) * math.exp(exponent)
+    e, e_x = kernel
+    b = d.beta
+    half_b = 0.5 * b
+    quarter_b_sq = 0.25 * b * b
+    ln_c = math.log(c * d.a0_h_l)
+    s = d.log_gain_scale
+    mu = d.mu
+    exp, inf = math.exp, math.inf
+
+    def f(v: float) -> float:
+        ln_u = ln_c + s * v - mu
+        u = exp(ln_u) if ln_u < 300.0 else inf
+        if u > u_max:
+            return 0.0
+        if v >= 0.0:
+            t = v - half_b
+            density = half_b * e_x(v) * exp(-t * t)
+        else:
+            exponent = b * v - quarter_b_sq
+            if exponent < -700.0:
+                return 0.0
+            density = half_b * e(v) * exp(exponent)
+        if density == 0.0:
+            return 0.0
+        return 0.5 * weight(u) * density
+
+    return f
+
+
+def _two(u: float) -> float:
+    return 2.0
 
 
 def log_gain_pdf(v: float, d: DerivedParams) -> float:
     """Density of the normalized log-gain, (beta/2) exp(beta v - beta^2/4) erfc(v)."""
-    return log_gain_density(v, d.beta, *EXACT_KERNEL)
+    return weighted_log_gain_density(d, EXACT_KERNEL, 1.0, _two, math.inf)(v)
 
 
 def pdf_h(h: float, d: DerivedParams) -> float:

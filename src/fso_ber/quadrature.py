@@ -5,6 +5,11 @@ subinterval, bisecting the subinterval with the largest estimated error until
 the global estimate meets the tolerance or the evaluation budget is exhausted.
 Neither rule evaluates interval endpoints, so integrable endpoint behaviour is
 tolerated without special casing.
+
+The rule is unrolled for speed. The order in which it evaluates its nodes and
+the left-to-right order of each of its sums are part of the package's
+bit-for-bit output contract: reordering either moves results in their last
+digits.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ class QuadratureResult:
     converged: bool
 
 
-# (abscissa, Kronrod weight, Gauss weight or 0) of each symmetric node pair,
-# outermost first; the Gauss nodes are every second Kronrod node
-_PAIRS = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+# the Kronrod abscissae and weights by name, pair 1 outermost, K0 the center's
+# weight; the Gauss nodes are Kronrod pairs 2, 4 and 6 and the center
+_X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK[:7]
+_K1, _K2, _K3, _K4, _K5, _K6, _K7, _K0 = _WGK
+_G2, _G4, _G6, _G0 = _WG
 
 
 def _rule(f, a: float, b: float):
@@ -90,38 +97,58 @@ def _rule(f, a: float, b: float):
 
     Evaluates the center, then each -/+ node pair from the outermost inwards,
     and raises :class:`~fso_ber.errors.IntegrandError` for the first of these
-    abscissae whose value is not finite.
+    abscissae whose value is not finite. Keep the node order and each sum's
+    left-to-right order: they are part of the bit-for-bit output.
     """
-    abs_ = abs
-    pairs_w = _PAIRS
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
-
     fc = f(center)
-    wk_c = _WGK[7]
-    resk = wk_c * fc
-    resg = _WG[3] * fc
-    resabs = wk_c * abs_(fc)
-    pairs = []
-    for x, wk, wg in pairs_w:
-        dx = half * x
-        flo = f(center - dx)
-        fhi = f(center + dx)
-        pairs.append((flo, fhi))
-        both = flo + fhi
-        resk += wk * both
-        resabs += wk * (abs_(flo) + abs_(fhi))
-        if wg:
-            resg += wg * both
+    dx = half * _X1
+    f1l = f(center - dx)
+    f1h = f(center + dx)
+    dx = half * _X2
+    f2l = f(center - dx)
+    f2h = f(center + dx)
+    dx = half * _X3
+    f3l = f(center - dx)
+    f3h = f(center + dx)
+    dx = half * _X4
+    f4l = f(center - dx)
+    f4h = f(center + dx)
+    dx = half * _X5
+    f5l = f(center - dx)
+    f5h = f(center + dx)
+    dx = half * _X6
+    f6l = f(center - dx)
+    f6h = f(center + dx)
+    dx = half * _X7
+    f7l = f(center - dx)
+    f7h = f(center + dx)
+
+    abs_ = abs
+    resabs = (_K0 * abs_(fc) + _K1 * (abs_(f1l) + abs_(f1h)) + _K2 * (abs_(f2l) + abs_(f2h))
+              + _K3 * (abs_(f3l) + abs_(f3h)) + _K4 * (abs_(f4l) + abs_(f4h))
+              + _K5 * (abs_(f5l) + abs_(f5h)) + _K6 * (abs_(f6l) + abs_(f6h))
+              + _K7 * (abs_(f7l) + abs_(f7h)))
     # the terms are non-negative, so an inf or nan value leaves resabs
     # non-finite; resabs overflowing from finite values raises nothing
     if not math.isfinite(resabs):
-        _raise_first_nonfinite(center, half, fc, pairs)
-
+        _raise_first_nonfinite(center, half, (fc, f1l, f1h, f2l, f2h, f3l, f3h, f4l, f4h,
+                                              f5l, f5h, f6l, f6h, f7l, f7h))
+    s2 = f2l + f2h
+    s4 = f4l + f4h
+    s6 = f6l + f6h
+    resk = (_K0 * fc + _K1 * (f1l + f1h) + _K2 * s2 + _K3 * (f3l + f3h) + _K4 * s4
+            + _K5 * (f5l + f5h) + _K6 * s6 + _K7 * (f7l + f7h))
+    resg = _G0 * fc + _G2 * s2 + _G4 * s4 + _G6 * s6
     mean = 0.5 * resk
-    resasc = wk_c * abs_(fc - mean)
-    for (_, wk, _), (flo, fhi) in zip(pairs_w, pairs):
-        resasc += wk * (abs_(flo - mean) + abs_(fhi - mean))
+    resasc = (_K0 * abs_(fc - mean) + _K1 * (abs_(f1l - mean) + abs_(f1h - mean))
+              + _K2 * (abs_(f2l - mean) + abs_(f2h - mean))
+              + _K3 * (abs_(f3l - mean) + abs_(f3h - mean))
+              + _K4 * (abs_(f4l - mean) + abs_(f4h - mean))
+              + _K5 * (abs_(f5l - mean) + abs_(f5h - mean))
+              + _K6 * (abs_(f6l - mean) + abs_(f6h - mean))
+              + _K7 * (abs_(f7l - mean) + abs_(f7h - mean)))
 
     value = resk * half
     resabs *= abs_(half)
@@ -134,22 +161,29 @@ def _rule(f, a: float, b: float):
     return value, err
 
 
-def _raise_first_nonfinite(center: float, half: float, fc: float, pairs: list) -> None:
-    nodes = [(center, fc)]
-    for (x, _, _), (flo, fhi) in zip(_PAIRS, pairs):
+def _raise_first_nonfinite(center: float, half: float, values: tuple) -> None:
+    """Raise for the first non-finite of ``values``, which _rule evaluated at
+    the center, then at each -/+ pair from the outermost inwards."""
+    nodes = [center]
+    for x in _XGK[:7]:
         dx = half * x
-        nodes += ((center - dx, flo), (center + dx, fhi))
-    for x, y in nodes:
+        nodes += (center - dx, center + dx)
+    for x, y in zip(nodes, values):
         if not math.isfinite(y):
             raise IntegrandError(x, y)
 
+
+DEFAULT_TOLERANCE = Tolerance()
 
 # The rule's error estimate on [0, w] for 1/x, the same for every width w: the
 # floor that bisection toward a K/x endpoint pole cannot push below K * POLE_ERROR.
 POLE_ERROR = _rule(lambda x: 1.0 / x, 0.0, 1.0)[1]
 
 
-def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> QuadratureResult:
+def integrate(
+    f, a: float, b: float, tol: Tolerance | None = None,
+    first_rule: tuple[float, float] | None = None,
+) -> QuadratureResult:
     """Integrate ``f`` over the finite interval [a, b].
 
     Subdivision stops once the summed error estimate satisfies
@@ -163,15 +197,19 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     caller can decide. Finiteness is checked once per rule: a non-finite
     integrand value raises :class:`~fso_ber.errors.IntegrandError` naming the
     first non-finite abscissa in the rule's evaluation order.
+
+    A caller that has already applied the rule to the whole of [a, b] passes
+    its ``(value, error)`` as ``first_rule``; integration starts from it, and
+    its 15 evaluations count towards ``evaluations`` and the budget.
     """
     if tol is None:
-        tol = Tolerance()
+        tol = DEFAULT_TOLERANCE
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite (got {a!r}, {b!r})")
     if not a < b:
         raise ValueError(f"integration requires a < b (got {a!r}, {b!r})")
 
-    value, err = _rule(f, a, b)
+    value, err = _rule(f, a, b) if first_rule is None else first_rule
     evaluations = 15
     # heap entries: (-error, tie_breaker, a, b, value, error)
     counter = 0
@@ -180,9 +218,11 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     total_error = err
     bisections = 0
     growing = 0
+    rel_tol, abs_tol, max_evaluations = tol.rel_tol, tol.abs_tol, tol.max_evaluations
 
-    while total_error > tol.target(total_value):
-        if evaluations + 30 > tol.max_evaluations or not heap or growing >= _GROWING_LIMIT:
+    # the loop condition is tol.target(total_value), written out
+    while total_error > max(rel_tol * abs(total_value), abs_tol):
+        if evaluations + 30 > max_evaluations or not heap or growing >= _GROWING_LIMIT:
             return QuadratureResult(total_value, total_error, evaluations, False)
         _, _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)

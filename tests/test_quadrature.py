@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_ber import IntegrandError, Tolerance, integrate
 from fso_ber.channel import DerivedParams, gain_of, log_gain_window
-from fso_ber.quadrature import POLE_ERROR
+from fso_ber.quadrature import _WG, _WGK, _XGK, POLE_ERROR, _rule
 
 
 def test_constant_integrand():
@@ -205,3 +207,125 @@ def test_truncation_bound_case1_value(deriveds):
 def test_truncation_bound_exceeds_split_gain(deriveds):
     for d in deriveds.values():
         assert truncation_bound(d) > d.h_hat
+
+
+# The rule in loop form, as it was before it was unrolled: the unrolled rule
+# must return the same (value, error) bit for bit, and name the same first
+# non-finite abscissa.
+_REF_PAIRS = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+
+
+def _reference_rule(f, a, b):
+    abs_ = abs
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    fc = f(center)
+    wk_c = _WGK[7]
+    resk = wk_c * fc
+    resg = _WG[3] * fc
+    resabs = wk_c * abs_(fc)
+    pairs = []
+    for x, wk, wg in _REF_PAIRS:
+        dx = half * x
+        flo = f(center - dx)
+        fhi = f(center + dx)
+        pairs.append((flo, fhi))
+        both = flo + fhi
+        resk += wk * both
+        resabs += wk * (abs_(flo) + abs_(fhi))
+        if wg:
+            resg += wg * both
+    if not math.isfinite(resabs):
+        nodes = [(center, fc)]
+        for (x, _, _), (flo, fhi) in zip(_REF_PAIRS, pairs):
+            dx = half * x
+            nodes += ((center - dx, flo), (center + dx, fhi))
+        for x, y in nodes:
+            if not math.isfinite(y):
+                raise IntegrandError(x, y)
+    mean = 0.5 * resk
+    resasc = wk_c * abs_(fc - mean)
+    for (_, wk, _), (flo, fhi) in zip(_REF_PAIRS, pairs):
+        resasc += wk * (abs_(flo - mean) + abs_(fhi - mean))
+    value = resk * half
+    resabs *= abs_(half)
+    resasc *= abs_(half)
+    err = abs_((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > 0.0:
+        err = max(err, 50.0 * math.ulp(1.0) * resabs)
+    return value, err
+
+
+def _outcome(rule, f, a, b):
+    """(value, error) as float hex, or the exception's type and arguments."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    try:
+        value, err = rule(g, a, b)
+    except IntegrandError as exc:
+        return IntegrandError, exc.abscissa.hex(), exc.value.hex(), seen
+    except OverflowError as exc:
+        return OverflowError, str(exc), seen
+    return value.hex(), err.hex(), seen
+
+
+_FINITE = st.floats(-1e6, 1e6)
+_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_WIDTH = st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _integrands(draw, a, b):
+    """A smooth integrand with sign changes, one with exact zeros, or a steep Gaussian."""
+    kind = draw(st.sampled_from(("signs", "zeros", "gaussian", "constant")))
+    scale = draw(_SCALE)
+    if kind == "constant":
+        c = draw(st.sampled_from((0.0, -0.0, scale, -scale)))
+        return lambda x: c
+    mid, width = 0.5 * (a + b), abs(b - a)
+    u = draw(st.floats(-1.0, 1.0))
+    if kind == "signs":
+        k = draw(st.floats(0.0, 40.0)) / width
+        return lambda x: scale * (u + math.sin(k * (x - mid)))
+    if kind == "zeros":
+        cut = mid + u * width
+        return lambda x: 0.0 if x < cut else scale * (x - cut)
+    sigma = width * 10.0 ** draw(st.floats(-6.0, 0.0))
+    peak = mid + u * width
+    return lambda x: scale * math.exp(-(((x - peak) / sigma) ** 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data(), a=_FINITE, width=_WIDTH, flip=st.booleans())
+def test_rule_is_bit_identical_to_its_loop_form(data, a, width, flip):
+    b = a + width
+    if flip:
+        a, b = b, a
+    f = data.draw(_integrands(a, b))
+    assert _outcome(_rule, f, a, b) == _outcome(_reference_rule, f, a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=_FINITE, width=_WIDTH, bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+       chosen=st.sets(st.integers(0, 14), min_size=1), shuffle=st.randoms())
+def test_rule_names_the_same_non_finite_node_as_its_loop_form(a, width, bad, chosen, shuffle):
+    b = a + width
+    nodes = []
+    _reference_rule(lambda x: nodes.append(x) or 1.0, a, b)
+    bad_nodes = {nodes[i] for i in chosen}
+
+    def f(x):
+        return bad if x in bad_nodes else shuffle.uniform(-1.0, 1.0)
+
+    state = shuffle.getstate()
+    got = _outcome(_rule, f, a, b)
+    shuffle.setstate(state)
+    expected = _outcome(_reference_rule, f, a, b)
+    assert got[0] is IntegrandError
+    assert got == expected
