@@ -28,7 +28,7 @@ The three analytic averages are one integrand,
     0.5 E(u) (beta/2) exp(beta v - beta^2/4) E(v),   u = c h(v),
 
 with the method's erfc stand-in E substituted for both erfc factors (see the
-kernel pairs in :mod:`fso_ber.special`).
+kernels in :mod:`fso_ber.special`).
 """
 
 from __future__ import annotations
@@ -81,13 +81,8 @@ def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams
 
 
 def _integrand(kernel: Kernel, c: float, d: DerivedParams):
-    """v-space BER integrand 0.5 E(u) (beta/2) D_E(v) of one kernel pair."""
-    return weighted_log_gain_density(d, kernel, c, kernel.e, _U_CUTOFF)
-
-
-def _v_at(u: float, c: float, d: DerivedParams) -> float:
-    """The v at which the scaled gain u = c h(v) takes the value u."""
-    return (math.log(u) - math.log(c * d.a0_h_l) + d.mu) / d.log_gain_scale
+    """v-space BER integrand 0.5 E(u) (beta/2) D_E(v) of one kernel; u >= 0."""
+    return weighted_log_gain_density(d, kernel, c, kernel.e_pos, _U_CUTOFF)
 
 
 def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list[float]:
@@ -99,13 +94,20 @@ def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list
     Inside it, the boundaries sit at the density peak and the detection
     transition.
     """
+    ln_c = math.log(c * d.a0_h_l)
+    mu = d.mu
+    s = d.log_gain_scale
+
+    def v_at(u: float) -> float:  # the v at which u = c h(v)
+        return (math.log(u) - ln_c + mu) / s
+
     lo, hi = log_gain_window(d)
     lo = max(lo, start)
-    hi = min(hi, _v_at(_U_CUTOFF, c, d))
+    hi = min(hi, v_at(_U_CUTOFF))
     if hi <= lo:
         return []
-    v_u1 = _v_at(1.0, c, d)
-    width = 2.0 / d.log_gain_scale
+    v_u1 = v_at(1.0)
+    width = 2.0 / s
     candidates = [0.0, 0.5 * d.beta, v_u1 - width, v_u1, v_u1 + width]
     pts = [lo]
     for p in sorted(candidates):
@@ -143,7 +145,7 @@ def _ber_average(
     kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams,
     tol: Tolerance | None, what: str,
 ) -> float:
-    """The kernel pair's BER integrand integrated over the whole v window."""
+    """The kernel's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
     return _integrate_segments(
         _integrand(kernel, c, d), _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE, what, p_watts,
@@ -180,7 +182,7 @@ def ber_approx_prev(
 
         (beta / (4 pi)) exp(-(v - beta/2)^2) exp(-u^2) / (u v),
 
-    the shared integrand with the asymptotic kernel pair; beta / (4 pi) equals
+    the shared integrand with the asymptotic kernel; beta / (4 pi) equals
     the printed prefactor gamma^2 sigma_X / (sqrt(2) pi). Near the lower
     endpoint it behaves as K / v with K = (beta / (4 pi)) exp(-beta^2/4 - u0^2)
     / u0 and u0 = c h_hat, so the integral diverges logarithmically: each

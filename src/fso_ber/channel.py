@@ -191,17 +191,18 @@ def log_gain_window(d: DerivedParams) -> tuple[float, float]:
 def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight, u_max: float):
     """v -> 0.5 weight(u) f_E(v) with u = c h(v): the v-space integrand of the
     average of 0.5 weight(c h) over the gain density, with erfc replaced by the
-    stand-in E of a kernel pair (E, E_x), see :mod:`fso_ber.special`.
+    stand-in E of a kernel, see :mod:`fso_ber.special`.
 
     It is 0 where u > u_max, and wherever the density is 0, so that a weight
     that grows as u -> 0 cannot turn 0 into inf * 0. The density
     f_E(v) = (b/2) exp(b v - b^2/4) E(v) is evaluated through
     E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian factors combine into
-    exp(-(v - b/2)^2) and nothing overflows however large b gets. This is the
-    only place the density's two branches are written: the BER integrands take
-    weight = E, and the density alone is weight = 2, since 0.5 * 2 is exactly 1.
+    exp(-(v - b/2)^2) and nothing overflows however large b gets; below 0 it
+    calls E's z < 0 branch. This is the only place the density's two branches
+    are written: the BER integrands take weight = E's z >= 0 branch, since
+    u >= 0, and the density alone is weight = 2, since 0.5 * 2 is exactly 1.
     """
-    e, e_x = kernel
+    e_neg, _, e_x = kernel
     b = d.beta
     half_b = 0.5 * b
     quarter_b_sq = 0.25 * b * b
@@ -222,7 +223,7 @@ def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight
             exponent = b * v - quarter_b_sq
             if exponent < -700.0:
                 return 0.0
-            density = half_b * e(v) * exp(exponent)
+            density = half_b * e_neg(v) * exp(exponent)
         if density == 0.0:
             return 0.0
         return 0.5 * weight(u) * density

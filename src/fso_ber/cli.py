@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import _PARSERS, load_config
+from .config import _PARSERS, PRESETS, preset_config, read_config
 from .errors import ConfigError
 from .runner import run
 
@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="Sweep BER curves, locate FEC crossings, write CSV + report.")
     src = p_run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=("case1", "case2", "case3"),
+    src.add_argument("--preset", choices=sorted(PRESETS),
                      help="Built-in operating point (shared bench parameters).")
     src.add_argument("--config", metavar="PATH", help="Key-value config file.")
     # each override's dest is the RunConfig field it sets; main parses it like a config key
@@ -77,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
     try:
-        config = load_config(args.preset or args.config)
+        # a --config path is read as a file even when it is named like a preset
+        config = preset_config(args.preset) if args.preset else read_config(args.config)
     except ConfigError as exc:
         problems = exc.problems + problems
     try:

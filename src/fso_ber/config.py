@@ -167,13 +167,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     return config
 
 
+def read_config(path: str) -> RunConfig:
+    """Build a RunConfig from a key-value config file, whatever its name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read config {path!r}: {exc}"])
+    return parse_config_text(text, origin=path)
+
+
 def load_config(source: str) -> RunConfig:
     """Build a RunConfig from a preset name or a key-value config file path."""
     if source in PRESETS:
         return preset_config(source)
-    try:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError([f"cannot read config {source!r}: {exc}"])
-    return parse_config_text(text, origin=source)
+    return read_config(source)

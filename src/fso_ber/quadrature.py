@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IntegrandError
 
@@ -75,8 +76,7 @@ class Tolerance:
         return max(self.rel_tol * abs(value), self.abs_tol)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value of one integral together with its accuracy diagnostics."""
 
     value: float
@@ -126,20 +126,27 @@ def _rule(f, a: float, b: float):
     f7h = f(center + dx)
 
     abs_ = abs
-    resabs = (_K0 * abs_(fc) + _K1 * (abs_(f1l) + abs_(f1h)) + _K2 * (abs_(f2l) + abs_(f2h))
-              + _K3 * (abs_(f3l) + abs_(f3h)) + _K4 * (abs_(f4l) + abs_(f4h))
-              + _K5 * (abs_(f5l) + abs_(f5h)) + _K6 * (abs_(f6l) + abs_(f6h))
-              + _K7 * (abs_(f7l) + abs_(f7h)))
-    # the terms are non-negative, so an inf or nan value leaves resabs
-    # non-finite; resabs overflowing from finite values raises nothing
-    if not math.isfinite(resabs):
-        _raise_first_nonfinite(center, half, (fc, f1l, f1h, f2l, f2h, f3l, f3h, f4l, f4h,
-                                              f5l, f5h, f6l, f6h, f7l, f7h))
     s2 = f2l + f2h
     s4 = f4l + f4h
     s6 = f6l + f6h
     resk = (_K0 * fc + _K1 * (f1l + f1h) + _K2 * s2 + _K3 * (f3l + f3h) + _K4 * s4
             + _K5 * (f5l + f5h) + _K6 * s6 + _K7 * (f7l + f7h))
+    if (fc >= 0.0 and f1l >= 0.0 and f1h >= 0.0 and f2l >= 0.0 and f2h >= 0.0
+            and f3l >= 0.0 and f3h >= 0.0 and f4l >= 0.0 and f4h >= 0.0 and f5l >= 0.0
+            and f5h >= 0.0 and f6l >= 0.0 and f6h >= 0.0 and f7l >= 0.0 and f7h >= 0.0):
+        # the abs-sum below, term for term and in the same order; -0.0 for 0.0
+        # can only turn a zero sum into -0.0, which compares the same
+        resabs = resk
+    else:
+        resabs = (_K0 * abs_(fc) + _K1 * (abs_(f1l) + abs_(f1h))
+                  + _K2 * (abs_(f2l) + abs_(f2h)) + _K3 * (abs_(f3l) + abs_(f3h))
+                  + _K4 * (abs_(f4l) + abs_(f4h)) + _K5 * (abs_(f5l) + abs_(f5h))
+                  + _K6 * (abs_(f6l) + abs_(f6h)) + _K7 * (abs_(f7l) + abs_(f7h)))
+    # the terms are non-negative, so an inf or nan value leaves resabs
+    # non-finite; resabs overflowing from finite values raises nothing
+    if not math.isfinite(resabs):
+        _raise_first_nonfinite(center, half, (fc, f1l, f1h, f2l, f2h, f3l, f3h, f4l, f4h,
+                                              f5l, f5h, f6l, f6h, f7l, f7h))
     resg = _G0 * fc + _G2 * s2 + _G4 * s4 + _G6 * s6
     mean = 0.5 * resk
     resasc = (_K0 * abs_(fc - mean) + _K1 * (abs_(f1l - mean) + abs_(f1h - mean))

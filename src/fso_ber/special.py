@@ -1,16 +1,18 @@
-"""Stand-ins for the complementary error function, and their kernel pairs.
+"""Stand-ins for the complementary error function, and their kernels.
 
 ``erfc_approx`` is the closed-form surrogate whose substitution into the exact
 integrand yields the split-kernel BER approximation; the exact integrand uses
 the C library's ``math.erfc``.
 
 Each BER method is the same average with a different stand-in E for erfc. A
-method is given by its kernel pair (E, E_x) with E_x(z) = exp(z^2) E(z), the
-scaled form used for z >= 0 so that Gaussian factors combine instead of
-underflowing separately:
+method is given by its kernel: E on z < 0, E on z >= 0, and the scaled form
+E_x(z) = exp(z^2) E(z) on z >= 0, used there so that Gaussian factors combine
+instead of underflowing separately. Each branch is a function of its own, so
+the integrand calls a formula without testing the sign of its argument again:
 
-* ``EXACT_KERNEL``      -- (erfc, erfcx), erfcx from scipy returned as a Python float.
-* ``APPROX_KERNEL``     -- (erfc_approx, erfcx_approx).
+* ``EXACT_KERNEL``      -- erfc on both sides and erfcx, scipy's compiled
+  scalar kernel, which returns a Python float.
+* ``APPROX_KERNEL``     -- the two branches of erfc_approx, and erfcx_approx.
 * ``ASYMPTOTIC_KERNEL`` -- the 1/z asymptotic exp(-z^2) / (z sqrt(pi)) of
   erfc and its scaled form 1 / (z sqrt(pi)); defined for z > 0 only.
 """
@@ -18,23 +20,29 @@ underflowing separately:
 import math
 from typing import Callable, NamedTuple
 
-from scipy.special import erfcx as _erfcx_ufunc
+from scipy.special import cython_special
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _FOUR_OVER_PI = 4.0 / math.pi
 _PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
 
-
-def _erfcx(z: float) -> float:
-    # the ufunc returns numpy.float64, whose arithmetic would follow it into
-    # every sum of the BER integrand and the quadrature; the conversion is exact
-    return float(_erfcx_ufunc(z))
+# the double specialization of the kernel behind scipy.special.erfcx, called
+# on a Python float without the ufunc machinery; it returns a Python float
+_erfcx = cython_special.erfcx["double"]
 
 
 def erfcx_approx(z: float) -> float:
     """exp(z^2) erfc_approx(z) for z >= 0: ``(2/sqrt(pi)) / (z + sqrt(z^2 + 4/pi))``."""
     return _TWO_OVER_SQRT_PI / (z + math.sqrt(z * z + _FOUR_OVER_PI))
+
+
+def _erfc_approx_pos(z: float) -> float:
+    return math.exp(-z * z) * erfcx_approx(z)
+
+
+def _erfc_approx_neg(z: float) -> float:
+    return 1.0 + math.tanh(-_PI_OVER_SQRT6 * z)
 
 
 def erfc_approx(z: float) -> float:
@@ -50,8 +58,8 @@ def erfc_approx(z: float) -> float:
     if not math.isfinite(z):
         raise ValueError(f"erfc_approx argument must be finite, got {z!r}")
     if z >= 0.0:
-        return math.exp(-z * z) * erfcx_approx(z)
-    return 1.0 + math.tanh(-_PI_OVER_SQRT6 * z)
+        return _erfc_approx_pos(z)
+    return _erfc_approx_neg(z)
 
 
 def _asymptotic(z: float) -> float:
@@ -63,12 +71,13 @@ def _asymptotic_x(z: float) -> float:
 
 
 class Kernel(NamedTuple):
-    """An erfc stand-in E and its scaled form E_x(z) = exp(z^2) E(z)."""
+    """An erfc stand-in E by branch, and its scaled form E_x(z) = exp(z^2) E(z)."""
 
-    e: Callable[[float], float]
-    e_x: Callable[[float], float]
+    e_neg: Callable[[float], float]  # E on z < 0
+    e_pos: Callable[[float], float]  # E on z >= 0
+    e_x: Callable[[float], float]    # E_x on z >= 0
 
 
-EXACT_KERNEL = Kernel(math.erfc, _erfcx)
-APPROX_KERNEL = Kernel(erfc_approx, erfcx_approx)
-ASYMPTOTIC_KERNEL = Kernel(_asymptotic, _asymptotic_x)
+EXACT_KERNEL = Kernel(math.erfc, math.erfc, _erfcx)
+APPROX_KERNEL = Kernel(_erfc_approx_neg, _erfc_approx_pos, erfcx_approx)
+ASYMPTOTIC_KERNEL = Kernel(_asymptotic, _asymptotic, _asymptotic_x)

@@ -119,7 +119,7 @@ def test_sweep_annotates_an_integrand_error_from_a_ber_method(monkeypatch, links
     from fso_ber import ber
     from fso_ber.special import Kernel
 
-    monkeypatch.setattr(ber, "EXACT_KERNEL", Kernel(math.erfc, lambda z: math.nan))
+    monkeypatch.setattr(ber, "EXACT_KERNEL", Kernel(math.erfc, math.erfc, lambda z: math.nan))
     match = r"^exact failed at P = -4 dBm: integrand returned nan at x = "
     with pytest.raises(IntegrandError, match=match) as excinfo:
         sweep({BerMethod.EXACT}, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"])

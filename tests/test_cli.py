@@ -223,6 +223,19 @@ def test_cli_overrides_parse_like_config_keys(option, value, field, tmp_path, ca
     assert not out.exists()
 
 
+def test_config_file_named_like_a_preset_is_read_as_a_file(tmp_path, monkeypatch):
+    link = dict(preset_config("case1").link.__dict__, pointing_std_m=0.1, rytov_variance=0.3)
+    (tmp_path / "case1").write_text("".join(
+        f"{key} = {value!r}\n" for key, value in link.items() if value is not None))
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--config", "case1", "--methods", "exact", "--sweep", "-4:16:4",
+                 "--out", "o"])
+    assert code == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "sigma_X_sq = 0.074999999999999997\n" in report
+    assert "gamma = 9.9033" in report
+
+
 # SHA-256 of (curves.csv, report.txt) for whole CLI runs of a preset with the
 # given methods and otherwise default settings.
 GOLDEN_DIGESTS = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fso_ber import IntegrandError, Tolerance, integrate
@@ -282,7 +282,9 @@ _WIDTH = st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
 
 @st.composite
 def _integrands(draw, a, b):
-    """A smooth integrand with sign changes, one with exact zeros, or a steep Gaussian."""
+    """A smooth integrand with sign changes, one with exact zeros (0.0 or -0.0),
+    a steep Gaussian, or a constant. Only the first can mix signs; the rule
+    takes a shortcut where no node value is negative."""
     kind = draw(st.sampled_from(("signs", "zeros", "gaussian", "constant")))
     scale = draw(_SCALE)
     if kind == "constant":
@@ -295,7 +297,8 @@ def _integrands(draw, a, b):
         return lambda x: scale * (u + math.sin(k * (x - mid)))
     if kind == "zeros":
         cut = mid + u * width
-        return lambda x: 0.0 if x < cut else scale * (x - cut)
+        zero = draw(st.sampled_from((0.0, -0.0)))
+        return lambda x: zero if x < cut else scale * (x - cut)
     sigma = width * 10.0 ** draw(st.floats(-6.0, 0.0))
     peak = mid + u * width
     return lambda x: scale * math.exp(-(((x - peak) / sigma) ** 2))
@@ -305,6 +308,7 @@ def _integrands(draw, a, b):
 @given(data=st.data(), a=_FINITE, width=_WIDTH, flip=st.booleans())
 def test_rule_is_bit_identical_to_its_loop_form(data, a, width, flip):
     b = a + width
+    assume(b != a)  # a width below a's ulp; integrate refuses a == b
     if flip:
         a, b = b, a
     f = data.draw(_integrands(a, b))
@@ -329,3 +333,23 @@ def test_rule_names_the_same_non_finite_node_as_its_loop_form(a, width, bad, cho
     expected = _outcome(_reference_rule, f, a, b)
     assert got[0] is IntegrandError
     assert got == expected
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([1.0 + i for i in range(15)], id="positive"),
+    pytest.param([0.0, -0.0] * 7 + [3.0], id="signed-zeros-and-positive"),
+    pytest.param([-0.0] * 15, id="negative-zeros"),
+    pytest.param([0.0] * 7 + [-0.0] * 8, id="zeros"),
+    pytest.param([1.0] * 14 + [-5e-324], id="one-tiny-negative"),
+    pytest.param([-1.0 - i for i in range(15)], id="negative"),
+    pytest.param([1e308] * 15, id="overflowing-sum"),
+    pytest.param([1.0] * 7 + [math.inf] + [1.0] * 7, id="inf-among-positive"),
+    pytest.param([1.0] * 7 + [math.nan] + [1.0] * 7, id="nan-among-positive"),
+])
+def test_rule_on_signed_node_values_is_bit_identical_to_its_loop_form(values):
+    # the rule takes resabs from resk when no node value is negative
+    nodes = []
+    _reference_rule(lambda x: nodes.append(x) or 1.0, 0.25, 1.75)
+    at = dict(zip(nodes, values))
+    assert _outcome(_rule, at.__getitem__, 0.25, 1.75) == _outcome(
+        _reference_rule, at.__getitem__, 0.25, 1.75)

@@ -3,14 +3,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 from fso_ber import erfc_approx
-from fso_ber.special import EXACT_KERNEL
+from fso_ber.special import APPROX_KERNEL, EXACT_KERNEL
 
 mp.mp.dps = 30
 
-# the erfc the exact BER integrand calls
-erfc = EXACT_KERNEL.e
+# the erfc the exact BER integrand calls (both of EXACT_KERNEL's erfc branches)
+erfc = math.erfc
 
 # frozen against mpmath.erfc / direct 30-digit evaluation of the branch formulas
 ERFC_1 = 0.15729920705028513
@@ -87,3 +88,35 @@ def test_non_finite_inputs_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             erfc_approx(bad)
+
+
+# where the kernels' branches are compared: dense on the scales the BER
+# integrand reaches, log-spaced over the whole double range, and the edges
+_DENSE = [float(z) for z in np.linspace(0.0, 60.0, 60001)]
+_LOG = [float(z) for z in np.logspace(-323.0, 308.0, 6311)]
+_NONNEGATIVE = _DENSE + _LOG + [0.0, -0.0, 5e-324, 1e-300, 26.5, 50.0, math.nextafter(50.0, 0.0),
+                                math.nextafter(50.0, math.inf), 5e7, 1e300, math.inf]
+
+
+def test_exact_erfc_branches_are_the_c_library_erfc():
+    assert EXACT_KERNEL.e_neg is math.erfc
+    assert EXACT_KERNEL.e_pos is math.erfc
+
+
+def test_exact_scaled_kernel_is_scipy_erfcx_bit_for_bit():
+    e_x = EXACT_KERNEL.e_x
+    zs = _NONNEGATIVE + [-z for z in _DENSE] + [math.nan, -math.inf]
+    assert all(type(e_x(z)) is float for z in (0.0, 1.0, math.inf, math.nan))
+    # float.hex spells every nan "nan"
+    got = [e_x(z).hex() for z in zs]
+    expected = [float(scipy.special.erfcx(z)).hex() for z in zs]
+    assert got == expected
+
+
+def test_approx_branches_match_erfc_approx_bit_for_bit():
+    finite = [z for z in _NONNEGATIVE if math.isfinite(z)]
+    assert [APPROX_KERNEL.e_pos(z).hex() for z in finite] == [
+        erfc_approx(z).hex() for z in finite]
+    negative = [-z for z in finite if z > 0.0] + [-5e-324, -1e-12, -300.0, -1e12, -1e308]
+    assert [APPROX_KERNEL.e_neg(z).hex() for z in negative] == [
+        erfc_approx(z).hex() for z in negative]
