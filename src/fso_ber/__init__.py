@@ -13,7 +13,7 @@ from .channel import (
     pdf_h,
     watts_to_dbm,
 )
-from .config import PRESETS, RunConfig, load_config
+from .config import PRESETS, RunConfig
 from .errors import (
     BracketError,
     ConfigError,
@@ -38,6 +38,6 @@ __all__ = [
     "RunArtifacts", "RunConfig", "Tolerance",
     "ber_approx_new", "ber_approx_prev", "ber_conditional", "ber_exact",
     "dbm_to_watts", "delta", "derive", "erfc_approx", "fec_crossing",
-    "integrate", "load_config", "log_gain_pdf", "mc_ber", "pdf_h", "run",
+    "integrate", "log_gain_pdf", "mc_ber", "pdf_h", "run",
     "sample_h", "sweep", "watts_to_dbm", "wilson_interval",
 ]

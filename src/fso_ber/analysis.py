@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
 from .errors import BracketError, NonMonotoneError
-from .montecarlo import McEstimate, mc_ber, point_seeds
+from .montecarlo import McEstimate, checked_power, mc_sweep
 
 _ANALYTIC = {
     BerMethod.EXACT: ber_exact,
@@ -83,12 +81,12 @@ def sweep(
     """One BER curve per requested method over a uniform dBm grid.
 
     Analytic methods are evaluated at every grid point, serially: they are
-    pure Python, which threads cannot run in parallel. Monte Carlo runs
-    ``mc_trials`` trials at every grid point on at most ``workers`` threads,
-    and never more threads than grid points or CPUs this process may run on;
-    each point keeps its :class:`McEstimate`. Per-point seeds are spawned
-    deterministically from the master ``seed``, so results do not depend on
-    evaluation order or worker count.
+    pure Python, which threads cannot run in parallel. Monte Carlo draws one
+    set of ``mc_trials`` trials from the master ``seed`` and decides every grid
+    point from it (:func:`~fso_ber.montecarlo.mc_sweep`), so each point keeps
+    the :class:`McEstimate` that ``mc_ber`` gives at its power, and the points
+    share their trials. ``workers`` has no effect and is kept for callers that
+    pass it: no sweep starts a thread, and results do not depend on it.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
@@ -100,41 +98,27 @@ def sweep(
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
-            seeds = point_seeds(seed, len(grid))
-
-            def point(i: int) -> BerPoint:
-                est = mc_ber(dbm_to_watts(grid[i]), d, link, mc_trials, seeds[i])
-                return BerPoint(grid[i], est.ber, est)
-
-            threads = min(workers, len(grid), _cpu_count())
+            watts = _at_each(method, grid, lambda p: checked_power(dbm_to_watts(p)))
+            estimates = mc_sweep(watts, d, link, mc_trials, seed)
+            points = [BerPoint(p, est.ber, est) for p, est in zip(grid, estimates)]
         else:
             fn = _ANALYTIC[method]
-
-            def point(i: int) -> BerPoint:
-                return BerPoint(grid[i], fn(dbm_to_watts(grid[i]), d, link))
-
-            threads = 1
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(point, i) for i in range(len(grid))]
-            point = lambda i: futures[i].result()  # noqa: E731
-        points = []
-        for i, p in enumerate(grid):
-            try:
-                points.append(point(i))
-            except Exception as exc:
-                _annotate(exc, method, p)
-                raise
+            points = _at_each(method, grid,
+                              lambda p: BerPoint(p, fn(dbm_to_watts(p), d, link)))
         curves.append(BerCurve(method, tuple(points)))
     return curves
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _at_each(method: BerMethod, grid: list[float], fn) -> list:
+    """``fn`` at every grid point; a failure names the method and the power."""
+    values = []
+    for p in grid:
+        try:
+            values.append(fn(p))
+        except Exception as exc:
+            _annotate(exc, method, p)
+            raise
+    return values
 
 
 def fec_crossing(

@@ -35,16 +35,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sweep", dest="sweep", metavar="LO:HI:STEP",
                        help="Power grid in dBm (default -4:16:0.5; at most 100000 points).")
     p_run.add_argument("--mc-trials", dest="mc_trials", metavar="N",
-                       help="Monte Carlo trials per grid point.")
+                       help="Monte Carlo trials, shared by every grid point.")
     p_run.add_argument("--seed", dest="seed", metavar="S", help="Master random seed.")
     p_run.add_argument("--fec-threshold", dest="fec_threshold", metavar="X",
                        help="BER threshold for crossings.")
     p_run.add_argument("--out", dest="output_path", metavar="DIR",
                        help="Output directory (default fso-ber-out).")
     p_run.add_argument("--workers", dest="workers", metavar="N",
-                       help="Most threads for Monte Carlo points, capped at the grid's "
-                            "points and the usable CPUs; analytic sweeps run serially. "
-                            "Results are identical for any value.")
+                       help="Accepted for compatibility (N >= 1) and has no effect: every "
+                            "sweep runs on one thread, and Monte Carlo decides all grid "
+                            "points from one set of trials.")
     return parser
 
 

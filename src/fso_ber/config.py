@@ -49,6 +49,7 @@ class RunConfig:
     seed: int = 12345
     fec_threshold: float = DEFAULT_FEC_THRESHOLD
     output_path: str = "fso-ber-out"
+    # accepted and checked for existing config files and callers; no run uses it
     workers: int = 1
 
     def __post_init__(self):
@@ -175,10 +176,3 @@ def read_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"])
     return parse_config_text(text, origin=path)
-
-
-def load_config(source: str) -> RunConfig:
-    """Build a RunConfig from a preset name or a key-value config file path."""
-    if source in PRESETS:
-        return preset_config(source)
-    return read_config(source)

@@ -6,20 +6,25 @@ decision threshold eta P h (perfect channel knowledge), under which the
 analytic conditional BER (1/2) erfc(eta P h / sqrt(2 sigma_n^2)) is exact.
 The symbol itself is not drawn: a 0 is misread when n > eta P h and a 2P
 when n < -eta P h, which for symmetric noise is the same event in
-distribution, so a trial errs exactly when n / sigma_n > (eta P / sigma_n) h.
-Trials run in the fixed 50 000-trial batches of :func:`batch_generators`,
-each on its own SFC64 generator, so the estimate depends only on (seed,
-trials). Every batch draws into the same three arrays, allocated once per
-call, so a call holds two float batches and one bool batch whatever the
-trial count, and a batch allocates nothing. Parallelism lives one level up,
-in the sweep's pool over power points, whose per-point seeds come from
-:func:`point_seeds`. This module holds all of the package's randomness.
+distribution, so a trial errs exactly when its unit noise over its gain
+exceeds the threshold snr = eta P / sigma_n.
+
+Neither the gain nor the noise depends on the power, so one set of trials
+decides every power of a sweep: :func:`mc_sweep` forms r = n / h once per
+trial and counts it against all the thresholds at once, and :func:`mc_ber`
+is the same count at one power. A sweep's point at P therefore equals
+``mc_ber`` at P, and neighbouring points share their trials. Trials run
+serially in the fixed 50 000-trial batches of :func:`batch_generators`, each
+on its own SFC64 generator, so the estimates depend only on (seed, trials).
+Every batch draws into the same two float arrays, allocated once per call, so
+a call's memory does not grow with the trial count. This module holds all of
+the package's randomness.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +32,12 @@ import numpy as np
 from .channel import DerivedParams, LinkParams
 
 # fixed sub-batch size; part of the determinism contract. The buffers of one
-# mc_ber call (two float and one bool batch, about 0.85 MB) fit in a core's L2
-# cache, and it divides 5e4, 2e5 and 1e6.
+# call (two float batches and one index chunk, about 0.85 MB) fit in a core's
+# L2 cache, and it divides 5e4, 2e5 and 1e6.
 _BATCH = 50_000
+# trials placed among the thresholds at a time: an index chunk takes the bytes
+# of one bool batch, and the count is the same for any chunk size
+_CHUNK = _BATCH // 8
 # two-sided 99% normal quantile, Phi^-1(0.995); pinned and asserted in tests
 WILSON_Z99 = 2.5758293035489004
 
@@ -62,11 +70,6 @@ def batch_generators(seed: int, n: int) -> Iterator[tuple[np.random.Generator, i
         (np.random.Generator(np.random.SFC64(root.spawn(1)[0])), min(_BATCH, n - start))
         for start in range(0, n, _BATCH)
     )
-
-
-def point_seeds(seed: int, n: int) -> list[int]:
-    """Seeds of the ``n`` points of a sweep, the i-th depending only on (seed, i)."""
-    return np.random.SeedSequence(seed).generate_state(n, np.uint64).tolist()
 
 
 def draw_gains(
@@ -124,35 +127,68 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
+def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int) -> list[int]:
+    """Errors at each of the non-decreasing thresholds ``snr``, all from one set of trials.
+
+    A trial errs at threshold s when r = n / h > s. ``searchsorted`` gives each
+    trial the number of thresholds below its r, and the trial errs at exactly
+    those, so the count at k is the number of trials whose index exceeds k. A
+    gain that underflows to 0 gives r = +-inf, which errs at every threshold
+    when n > 0 and at none when n < 0; the +inf edge puts r = 0/0 = nan in a
+    bin past it, counted nowhere, as n > s h is false for n = h = 0.
+    """
+    batches = batch_generators(seed, trials)  # checks trials before the allocation
+    edges = np.append(np.asarray(snr, dtype=float), np.inf)
+    size = min(_BATCH, trials)
+    h, e = np.empty(size), np.empty(size)
+    bins = np.zeros(edges.size + 1, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rng, n in batches:
+            r = draw_gains(rng, d, n, h, e)
+            noise = rng.standard_normal(out=e[:n])
+            np.divide(noise, r, out=r)
+            for start in range(0, n, _CHUNK):
+                index = np.searchsorted(edges, r[start:start + _CHUNK])
+                bins += np.bincount(index, minlength=bins.size)
+    # errors at k: the trials in bins k + 1 .. len(snr); the last bin is nan
+    return np.cumsum(bins[-2:0:-1])[::-1].tolist()
+
+
+def checked_power(p_watts: float) -> float:
+    """``p_watts``, once it is checked to be a positive, finite transmit power."""
+    if not (p_watts > 0 and math.isfinite(p_watts)):
+        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
+    return p_watts
+
+
+def mc_sweep(
+    p_watts: Sequence[float], d: DerivedParams, link: LinkParams, trials: int, seed: int
+) -> list[McEstimate]:
+    """Estimate the average BER at each of the non-decreasing powers ``p_watts``.
+
+    One set of ``trials`` trials decides every power, so the estimate at each
+    power equals :func:`mc_ber` there for the same (trials, seed), and the
+    error count never rises with power.
+    """
+    snr = [link.responsivity_a_per_w * checked_power(p) / link.noise_std for p in p_watts]
+    if any(b < a for a, b in zip(snr, snr[1:])):
+        raise ValueError("Monte Carlo powers must be non-decreasing")
+    estimates = []
+    for errors in _error_counts(snr, d, trials, seed):
+        ci_low, ci_high = wilson_interval(errors, trials)
+        estimates.append(McEstimate(trials=trials, errors=errors, ber=errors / trials,
+                                    ci_low=ci_low, ci_high=ci_high, low_confidence=errors == 0))
+    return estimates
+
+
 def mc_ber(
     p_watts: float, d: DerivedParams, link: LinkParams, trials: int, seed: int
 ) -> McEstimate:
-    """Estimate the average BER by direct simulation.
+    """Estimate the average BER by direct simulation: :func:`mc_sweep` at one power.
 
     Intended trial counts are >= 1e4; the Wilson interval keeps the CI
     meaningful down to zero observed errors.
     """
-    if not (p_watts > 0 and math.isfinite(p_watts)):
-        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
-    snr = link.responsivity_a_per_w * p_watts / link.noise_std
+    (estimate,) = mc_sweep([p_watts], d, link, trials, seed)
+    return estimate
 
-    batches = batch_generators(seed, trials)  # checks trials before the allocation
-    # every batch draws into these; they are local, so pool threads share none
-    size = min(_BATCH, trials)
-    h, e, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    errors = 0
-    for rng, n in batches:
-        # a trial errs when its unit noise exceeds the margin snr * h
-        margin = draw_gains(rng, d, n, h, e)
-        margin *= snr
-        noise = rng.standard_normal(out=e[:n])
-        errors += int(np.count_nonzero(np.greater(noise, margin, out=mask[:n])))
-    ci_low, ci_high = wilson_interval(errors, trials)
-    return McEstimate(
-        trials=trials,
-        errors=errors,
-        ber=errors / trials,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        low_confidence=(errors == 0),
-    )

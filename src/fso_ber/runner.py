@@ -124,7 +124,7 @@ def run(config: RunConfig) -> RunArtifacts:
     """Execute one configured run and write curves.csv and report.txt."""
     d = derive(config.link)
     curves = sweep(config.methods, config.sweep, d, config.link, mc_trials=config.mc_trials,
-                   seed=config.seed, workers=config.workers)
+                   seed=config.seed)
 
     analytic = [m for m in config.methods if m.is_analytic]
     crossings: dict[BerMethod, CrossingReport] = {}

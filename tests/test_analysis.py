@@ -1,6 +1,5 @@
 import math
-import os
-from concurrent.futures import Future
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +113,14 @@ def test_sweep_annotation_keeps_the_exception(monkeypatch, links, deriveds, work
     assert "x = 0.25" in str(excinfo.value)
 
 
+def test_sweep_annotates_a_monte_carlo_power_that_underflows(links, deriveds):
+    # -4000 dBm is 0.0 W in floating point; the failure names the method and the power
+    match = r"^mc failed at P = -4000 dBm: transmit power must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        sweep({BerMethod.MONTE_CARLO}, (-4000.0, -3990.0, 5.0), deriveds["case1"],
+              links["case1"], mc_trials=1_000, seed=1)
+
+
 def test_sweep_annotates_an_integrand_error_from_a_ber_method(monkeypatch, links, deriveds):
     # a scaled kernel returning nan makes the exact integrand non-finite for v >= 0
     from fso_ber import ber
@@ -127,16 +134,15 @@ def test_sweep_annotates_an_integrand_error_from_a_ber_method(monkeypatch, links
     assert math.isnan(excinfo.value.value)
 
 
-def test_analytic_sweep_starts_no_thread(monkeypatch, links, deriveds):
-    from fso_ber import analysis
+def test_no_sweep_starts_a_thread(monkeypatch, links, deriveds):
+    def no_thread(self):
+        raise AssertionError("a sweep started a thread")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("analytic sweep started a thread pool")
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
-    curves = sweep({BerMethod.EXACT, BerMethod.APPROX_NEW}, (-4.0, 0.0, 2.0),
-                   deriveds["case1"], links["case1"], workers=2)
-    assert [len(c.points) for c in curves] == [3, 3]
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    methods = {BerMethod.EXACT, BerMethod.APPROX_NEW, BerMethod.MONTE_CARLO}
+    curves = sweep(methods, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"],
+                   mc_trials=60_000, seed=3, workers=2)
+    assert [len(c.points) for c in curves] == [3, 3, 3]
 
 
 def test_sweep_mc_requires_config(links, deriveds):
@@ -160,53 +166,25 @@ def test_sweep_mc_requires_trials_and_seed(mc, links, deriveds):
 
 
 def test_sweep_mc_points_keep_their_estimates(links, deriveds):
-    from fso_ber.montecarlo import mc_ber, point_seeds
+    from fso_ber.montecarlo import mc_ber
 
-    link, d = links["case1"], deriveds["case1"]
-    (curve,) = sweep({BerMethod.MONTE_CARLO}, (8.0, 12.0, 2.0), d, link, mc_trials=1_000, seed=7)
-    seeds = point_seeds(7, 3)
-    for pt, seed in zip(curve.points, seeds):
-        assert pt.mc == mc_ber(dbm_to_watts(pt.p_dbm), d, link, 1_000, seed)
-        assert pt.ber == pt.mc.ber
+    for case in ("case1", "case2", "case3"):
+        link, d = links[case], deriveds[case]
+        (curve,) = sweep({BerMethod.MONTE_CARLO}, (6.0, 16.0, 2.0), d, link,
+                         mc_trials=1_000, seed=7)
+        for pt in curve.points:
+            assert pt.mc == mc_ber(dbm_to_watts(pt.p_dbm), d, link, 1_000, 7)
+            assert pt.ber == pt.mc.ber
     assert any(pt.mc.low_confidence for pt in curve.points)
 
 
-@pytest.mark.parametrize("sweep_dbm, threads", [((-4.0, 0.0, 2.0), 3), ((-4.0, 16.0, 0.5), 4)])
-def test_mc_pool_is_bounded_by_points_and_cpus(monkeypatch, links, deriveds, sweep_dbm, threads):
-    from fso_ber import analysis
-
-    sizes = []
-
-    class Recording:
-        """Runs each task at submit, on the calling thread; starts no thread."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 4)
-    link, d = links["case1"], deriveds["case1"]
-    mc = dict(mc_trials=1_000, seed=4242)
-    wide = sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, **mc, workers=10**6)
-    assert sizes == [threads]
-    assert wide == sweep({BerMethod.MONTE_CARLO}, sweep_dbm, d, link, **mc, workers=1)
-
-
-def test_cpu_count_is_a_usable_pool_size():
-    from fso_ber import analysis
-
-    assert 1 <= analysis._cpu_count() <= (os.cpu_count() or 1)
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+def test_sweep_mc_errors_never_rise_with_power(links, deriveds, case):
+    (curve,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 16.0, 0.5), deriveds[case], links[case],
+                     mc_trials=100_000, seed=11)
+    errors = [pt.mc.errors for pt in curve.points]
+    assert all(b <= a for a, b in zip(errors, errors[1:])), errors
+    assert errors[0] > errors[-1]
 
 
 def test_fec_crossing_case1_frozen(links, deriveds):

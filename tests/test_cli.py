@@ -252,8 +252,8 @@ GOLDEN_DIGESTS = {
         "4df5f1fd5f41c8d907d908b3ff0c9278facff20f1824ce3ad9c12678beaa7df9",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
-        "1caaa8d41a898f2ecfb4a3e84d8f6e9b02bb3af22ec5f0234f8642b45a9a44fb",
-        "1a28b134fedcb4e00f25c254704edfd1c77b092f5186f0e773ea2d2cfc5685fa",
+        "2ef425844457ba6a2e17893016c011eb4b9fa5cdffcd93877f0b25d88b5ce042",
+        "7cf696f7f8b15355a0242bcd44747a107180a873ca3f2baf44cf244c05d3b603",
     ),
 }
 

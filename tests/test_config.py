@@ -3,9 +3,16 @@ from dataclasses import fields
 
 import pytest
 
-from fso_ber import ConfigError, LinkParams, PRESETS, RunConfig, load_config
+from fso_ber import ConfigError, LinkParams, PRESETS, RunConfig
 from fso_ber.ber import BerMethod
-from fso_ber.config import _PARSERS, parse_config_text, parse_methods, parse_sweep, preset_config
+from fso_ber.config import (
+    _PARSERS,
+    parse_config_text,
+    parse_methods,
+    parse_sweep,
+    preset_config,
+    read_config,
+)
 
 GOOD_CONFIG = """\
 # bench link
@@ -130,19 +137,19 @@ def test_run_fields_checked_with_a_missing_link_field():
     assert "mc_trials" in problems[1]
 
 
-def test_load_config_from_file(tmp_path):
+def test_read_config_from_file(tmp_path):
     path = tmp_path / "link.cfg"
     path.write_text(GOOD_CONFIG)
-    assert load_config(str(path)) == parse_config_text(GOOD_CONFIG, origin=str(path))
+    assert read_config(str(path)) == parse_config_text(GOOD_CONFIG, origin=str(path))
 
 
-def test_load_config_preset_passthrough():
-    assert load_config("case1") == preset_config("case1")
+def test_preset_config_is_the_preset_link_with_defaults():
+    assert preset_config("case1") == RunConfig(link=LinkParams(**PRESETS["case1"]))
 
 
-def test_load_config_missing_file():
+def test_read_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/nonexistent/path.cfg")
+        read_config("/nonexistent/path.cfg")
 
 
 def test_parse_methods():

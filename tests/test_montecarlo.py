@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,14 @@ from scipy.special import erfcinv
 from fso_ber import dbm_to_watts, fec_crossing, mc_ber, sample_h, wilson_interval
 from fso_ber import montecarlo
 from fso_ber.ber import BerMethod
-from fso_ber.montecarlo import _BATCH, WILSON_Z99, batch_generators, draw_gains
+from fso_ber.montecarlo import (
+    _BATCH,
+    WILSON_Z99,
+    _error_counts,
+    batch_generators,
+    draw_gains,
+    mc_sweep,
+)
 
 
 def test_wilson_z_constant_matches_normal_quantile():
@@ -51,10 +59,11 @@ def test_estimate_is_deterministic(links, deriveds):
 
 
 def _pin_gain(monkeypatch, h):
-    """Disable fading: every trial sees gain h, so mc_ber checks the detection
-    model alone. The stub draws nothing, so the noise is each batch's first draw."""
+    """Disable fading: every trial sees gain h, or trial i of each batch sees
+    h[i], so mc_ber checks the detection model alone. The stub draws nothing,
+    so the noise is each batch's first draw."""
     def pinned(rng, d, n, out, e):
-        out[:n] = h
+        out[:n] = h if np.ndim(h) == 0 else h[:n]
         return out[:n]
 
     monkeypatch.setattr(montecarlo, "draw_gains", pinned)
@@ -96,6 +105,56 @@ def test_pinned_gain_error_counts_within_five_sigma(links, deriveds, monkeypatch
         est = mc_ber(p, d, link, trials=trials, seed=321)
         sigma = math.sqrt(trials * level * (1.0 - level))
         assert abs(est.errors - trials * level) <= 5.0 * sigma, (level, est.errors)
+
+
+@pytest.mark.parametrize("thresholds", [
+    np.sort(np.random.default_rng(1).uniform(0.0, 8.0, 17)),
+    np.array([0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 4.0]),
+    np.array([1.5]),
+], ids=["random", "duplicated", "single"])
+def test_error_counts_equal_a_brute_force_count(monkeypatch, deriveds, thresholds):
+    trials, seed = _BATCH + 12_345, 17  # one full batch and one ragged batch
+    gains = np.random.default_rng(2).lognormal(-0.5, 0.7, _BATCH)
+    _pin_gain(monkeypatch, gains)
+    ratios = np.concatenate([rng.standard_normal(n) / gains[:n]
+                             for rng, n in batch_generators(seed, trials)])
+    expected = [np.count_nonzero(ratios > s) for s in thresholds]
+    assert _error_counts(thresholds, deriveds["case1"], trials, seed) == expected
+
+
+def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    _pin_gain(monkeypatch, np.zeros(_BATCH))
+    trials, seed = 30_000, 4
+    ((rng, n),) = batch_generators(seed, trials)
+    positive = int(np.count_nonzero(rng.standard_normal(n) > 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = mc_sweep([dbm_to_watts(p) for p in (-4.0, 6.0, 16.0)], d, link, trials, seed)
+    assert [est.errors for est in estimates] == [positive] * 3
+
+
+def test_zero_noise_over_zero_gain_is_no_error(monkeypatch, deriveds):
+    # r = 0 / 0 is nan: a trial with no noise and no gain errs at no threshold
+    noise = np.array([0.0, 1.0, -1.0, 0.0, 2.0])
+
+    class Fixed:
+        def standard_normal(self, out):
+            out[:] = noise
+            return out
+
+    monkeypatch.setattr(montecarlo, "batch_generators", lambda seed, n: iter([(Fixed(), n)]))
+    _pin_gain(monkeypatch, np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _error_counts([0.5, 1.5, 3.0], deriveds["case1"], noise.size, 0)
+    # 1 / 0 = inf errs everywhere; -1 / 0 and 0 / 0 nowhere; 0 / 1 nowhere; 2 / 1 below 2
+    assert counts == [2, 2, 1]
+
+
+def test_mc_sweep_rejects_decreasing_powers(links, deriveds):
+    with pytest.raises(ValueError, match="non-decreasing"):
+        mc_sweep([2e-3, 1e-3], deriveds["case1"], links["case1"], trials=100, seed=1)
 
 
 def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
@@ -154,7 +213,8 @@ def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the call's buffers, allocated once: two float batches and one bool batch
+    # the call's buffers: two float batches, allocated once, and an index chunk
+    # of one bool batch's bytes at a time
     assert max(peaks) <= 2 * block + _BATCH + 65_536, peaks
     assert abs(peaks[1] - peaks[0]) < block, peaks
 
