@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
 from .errors import BracketError, NonMonotoneError
-from .montecarlo import McEstimate, checked_power, mc_sweep
+from .montecarlo import McEstimate, mc_ber
 
 _ANALYTIC = {
     BerMethod.EXACT: ber_exact,
@@ -63,10 +63,11 @@ def power_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _annotate(exc: Exception, method: BerMethod, p_dbm: float) -> None:
-    """Prefix the message with the method and power, in place, so the exception
-    keeps its type, attributes and traceback whatever its constructor takes."""
-    exc.args = (f"{method.value} failed at P = {p_dbm:g} dBm: {exc}",)
+def _annotate(exc: Exception, method: BerMethod, p_dbm: str) -> None:
+    """Prefix the message with the method and the power ``p_dbm`` names, in
+    place, so the exception keeps its type, attributes and traceback whatever
+    its constructor takes."""
+    exc.args = (f"{method.value} failed at P = {p_dbm} dBm: {exc}",)
 
 
 def sweep(
@@ -81,12 +82,14 @@ def sweep(
     """One BER curve per requested method over a uniform dBm grid.
 
     Analytic methods are evaluated at every grid point, serially: they are
-    pure Python, which threads cannot run in parallel. Monte Carlo draws one
-    set of ``mc_trials`` trials from the master ``seed`` and decides every grid
-    point from it (:func:`~fso_ber.montecarlo.mc_sweep`), so each point keeps
-    the :class:`McEstimate` that ``mc_ber`` gives at its power, and the points
-    share their trials. ``workers`` has no effect and is kept for callers that
-    pass it: no sweep starts a thread, and results do not depend on it.
+    pure Python, which threads cannot run in parallel. Monte Carlo makes one
+    :func:`~fso_ber.montecarlo.mc_ber` call over the whole grid: one set of
+    ``mc_trials`` trials from the master ``seed`` decides every point, so each
+    point keeps the :class:`McEstimate` that ``mc_ber`` gives at its power
+    alone, and the points share their trials. A failure names the method and
+    the power, or for Monte Carlo the grid's span. ``workers`` has no effect
+    and is kept for callers that pass it: no sweep starts a thread, and
+    results do not depend on it.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
@@ -98,8 +101,12 @@ def sweep(
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
-            watts = _at_each(method, grid, lambda p: checked_power(dbm_to_watts(p)))
-            estimates = mc_sweep(watts, d, link, mc_trials, seed)
+            watts = _at_each(method, grid, dbm_to_watts)
+            try:
+                estimates = mc_ber(watts, d, link, mc_trials, seed)
+            except Exception as exc:
+                _annotate(exc, method, f"{grid[0]:g} .. {grid[-1]:g}")
+                raise
             points = [BerPoint(p, est.ber, est) for p, est in zip(grid, estimates)]
         else:
             fn = _ANALYTIC[method]
@@ -116,7 +123,7 @@ def _at_each(method: BerMethod, grid: list[float], fn) -> list:
         try:
             values.append(fn(p))
         except Exception as exc:
-            _annotate(exc, method, p)
+            _annotate(exc, method, f"{p:g}")
             raise
     return values
 

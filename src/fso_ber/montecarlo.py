@@ -10,15 +10,15 @@ distribution, so a trial errs exactly when its unit noise over its gain
 exceeds the threshold snr = eta P / sigma_n.
 
 Neither the gain nor the noise depends on the power, so one set of trials
-decides every power of a sweep: :func:`mc_sweep` forms r = n / h once per
-trial and counts it against all the thresholds at once, and :func:`mc_ber`
-is the same count at one power. A sweep's point at P therefore equals
-``mc_ber`` at P, and neighbouring points share their trials. Trials run
-serially in the fixed 50 000-trial batches of :func:`batch_generators`, each
-on its own SFC64 generator, so the estimates depend only on (seed, trials).
-Every batch draws into the same two float arrays, allocated once per call, so
-a call's memory does not grow with the trial count. This module holds all of
-the package's randomness.
+decides every power of a sweep: :func:`mc_ber`, given a list of powers,
+forms r = n / h once per trial and counts it against all the thresholds at
+once, and at one power it makes the same count against one threshold. A
+sweep's point at P therefore equals ``mc_ber`` at P alone, and neighbouring
+points share their trials. Trials run serially in the fixed 50 000-trial
+batches of :func:`batch_generators`, each on its own SFC64 generator, so the
+estimates depend only on (seed, trials). Every batch draws into the same two
+float arrays, allocated once per call, so a call's memory does not grow with
+the trial count. This module holds all of the package's randomness.
 """
 
 from __future__ import annotations
@@ -154,23 +154,27 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     return np.cumsum(bins[-2:0:-1])[::-1].tolist()
 
 
-def checked_power(p_watts: float) -> float:
-    """``p_watts``, once it is checked to be a positive, finite transmit power."""
+def _threshold(p_watts: float, link: LinkParams) -> float:
+    """The threshold snr = R P / sigma_n that a trial's n / h must exceed to err."""
     if not (p_watts > 0 and math.isfinite(p_watts)):
         raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
-    return p_watts
+    return link.responsivity_a_per_w * p_watts / link.noise_std
 
 
-def mc_sweep(
-    p_watts: Sequence[float], d: DerivedParams, link: LinkParams, trials: int, seed: int
-) -> list[McEstimate]:
-    """Estimate the average BER at each of the non-decreasing powers ``p_watts``.
+def mc_ber(
+    p_watts: float | Sequence[float], d: DerivedParams, link: LinkParams, trials: int, seed: int
+) -> McEstimate | list[McEstimate]:
+    """Estimate the average BER by direct simulation, at one power or at several.
 
-    One set of ``trials`` trials decides every power, so the estimate at each
-    power equals :func:`mc_ber` there for the same (trials, seed), and the
-    error count never rises with power.
+    Given a non-decreasing sequence of powers, one set of ``trials`` trials
+    decides every one of them and a list of estimates is returned: the
+    estimate at each power equals ``mc_ber`` at that power alone for the same
+    (trials, seed), and the error count never rises with power. Intended
+    trial counts are >= 1e4; the Wilson interval keeps the CI meaningful down
+    to zero observed errors.
     """
-    snr = [link.responsivity_a_per_w * checked_power(p) / link.noise_std for p in p_watts]
+    single = np.ndim(p_watts) == 0
+    snr = [_threshold(p, link) for p in ([p_watts] if single else p_watts)]
     if any(b < a for a, b in zip(snr, snr[1:])):
         raise ValueError("Monte Carlo powers must be non-decreasing")
     estimates = []
@@ -178,17 +182,4 @@ def mc_sweep(
         ci_low, ci_high = wilson_interval(errors, trials)
         estimates.append(McEstimate(trials=trials, errors=errors, ber=errors / trials,
                                     ci_low=ci_low, ci_high=ci_high, low_confidence=errors == 0))
-    return estimates
-
-
-def mc_ber(
-    p_watts: float, d: DerivedParams, link: LinkParams, trials: int, seed: int
-) -> McEstimate:
-    """Estimate the average BER by direct simulation: :func:`mc_sweep` at one power.
-
-    Intended trial counts are >= 1e4; the Wilson interval keeps the CI
-    meaningful down to zero observed errors.
-    """
-    (estimate,) = mc_sweep([p_watts], d, link, trials, seed)
-    return estimate
-
+    return estimates[0] if single else estimates

@@ -13,6 +13,7 @@ from fso_ber import (
     dbm_to_watts,
     delta,
     fec_crossing,
+    mc_ber,
     sweep,
 )
 from fso_ber.analysis import _ANALYTIC, power_gap, power_grid
@@ -114,8 +115,10 @@ def test_sweep_annotation_keeps_the_exception(monkeypatch, links, deriveds, work
 
 
 def test_sweep_annotates_a_monte_carlo_power_that_underflows(links, deriveds):
-    # -4000 dBm is 0.0 W in floating point; the failure names the method and the power
-    match = r"^mc failed at P = -4000 dBm: transmit power must be positive and finite"
+    # -4000 dBm is 0.0 W in floating point; one mc_ber call decides the whole
+    # grid, so the failure names the method, the grid's span and the power
+    match = (r"^mc failed at P = -4000 \.\. -3990 dBm: "
+             r"transmit power must be positive and finite, got 0\.0$")
     with pytest.raises(ValueError, match=match):
         sweep({BerMethod.MONTE_CARLO}, (-4000.0, -3990.0, 5.0), deriveds["case1"],
               links["case1"], mc_trials=1_000, seed=1)
@@ -166,8 +169,6 @@ def test_sweep_mc_requires_trials_and_seed(mc, links, deriveds):
 
 
 def test_sweep_mc_points_keep_their_estimates(links, deriveds):
-    from fso_ber.montecarlo import mc_ber
-
     for case in ("case1", "case2", "case3"):
         link, d = links[case], deriveds[case]
         (curve,) = sweep({BerMethod.MONTE_CARLO}, (6.0, 16.0, 2.0), d, link,
@@ -176,6 +177,24 @@ def test_sweep_mc_points_keep_their_estimates(links, deriveds):
             assert pt.mc == mc_ber(dbm_to_watts(pt.p_dbm), d, link, 1_000, 7)
             assert pt.ber == pt.mc.ber
     assert any(pt.mc.low_confidence for pt in curve.points)
+
+
+def test_sweep_mc_is_one_mc_ber_call_over_the_grid(monkeypatch, links, deriveds):
+    # the sweep looks mc_ber up in analysis at call time, so a wrapper put there
+    # (a tracer, say) sees every Monte Carlo trial the sweep runs
+    from fso_ber import analysis
+
+    calls = []
+
+    def recording(p_watts, *args):
+        calls.append(list(p_watts))
+        return mc_ber(p_watts, *args)
+
+    monkeypatch.setattr(analysis, "mc_ber", recording)
+    (curve,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), deriveds["case1"],
+                     links["case1"], mc_trials=1_000, seed=3)
+    assert calls == [[dbm_to_watts(p) for p in (-4.0, -2.0, 0.0)]]
+    assert [pt.p_dbm for pt in curve.points] == [-4.0, -2.0, 0.0]
 
 
 @pytest.mark.parametrize("case", ("case1", "case2", "case3"))

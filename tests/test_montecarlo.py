@@ -18,7 +18,6 @@ from fso_ber.montecarlo import (
     _error_counts,
     batch_generators,
     draw_gains,
-    mc_sweep,
 )
 
 
@@ -130,7 +129,7 @@ def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, d
     positive = int(np.count_nonzero(rng.standard_normal(n) > 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimates = mc_sweep([dbm_to_watts(p) for p in (-4.0, 6.0, 16.0)], d, link, trials, seed)
+        estimates = mc_ber([dbm_to_watts(p) for p in (-4.0, 6.0, 16.0)], d, link, trials, seed)
     assert [est.errors for est in estimates] == [positive] * 3
 
 
@@ -152,9 +151,24 @@ def test_zero_noise_over_zero_gain_is_no_error(monkeypatch, deriveds):
     assert counts == [2, 2, 1]
 
 
-def test_mc_sweep_rejects_decreasing_powers(links, deriveds):
+def test_mc_ber_over_powers_rejects_decreasing_powers(links, deriveds):
     with pytest.raises(ValueError, match="non-decreasing"):
-        mc_sweep([2e-3, 1e-3], deriveds["case1"], links["case1"], trials=100, seed=1)
+        mc_ber([2e-3, 1e-3], deriveds["case1"], links["case1"], trials=100, seed=1)
+
+
+def test_mc_ber_over_powers_is_mc_ber_at_each(links, deriveds):
+    link, d = links["case2"], deriveds["case2"]
+    watts = [dbm_to_watts(p) for p in (-2.0, 4.0, 4.0, 10.0)]
+    estimates = mc_ber(watts, d, link, trials=60_000, seed=21)
+    assert isinstance(estimates, list)
+    assert estimates == [mc_ber(p, d, link, trials=60_000, seed=21) for p in watts]
+    assert mc_ber(np.array(watts), d, link, trials=60_000, seed=21) == estimates
+    assert mc_ber(np.float64(watts[0]), d, link, trials=60_000, seed=21) == estimates[0]
+
+
+def test_mc_ber_over_powers_checks_every_power(links, deriveds):
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        mc_ber([1e-3, math.inf], deriveds["case1"], links["case1"], trials=100, seed=1)
 
 
 def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
