@@ -68,6 +68,16 @@ def _pin_gain(monkeypatch, h):
     monkeypatch.setattr(montecarlo, "draw_gains", pinned)
 
 
+def _fix_noise(monkeypatch, noise):
+    """One batch of len(noise) trials whose unit noise is ``noise``."""
+    class Fixed:
+        def standard_normal(self, out):
+            out[:] = noise
+            return out
+
+    monkeypatch.setattr(montecarlo, "batch_generators", lambda seed, n: iter([(Fixed(), n)]))
+
+
 def test_zero_error_outcome_flagged(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
     # conditional BER ~ erfc(20) ~ 1e-175; no errors will be seen
@@ -106,6 +116,12 @@ def test_pinned_gain_error_counts_within_five_sigma(links, deriveds, monkeypatch
         assert abs(est.errors - trials * level) <= 5.0 * sigma, (level, est.errors)
 
 
+def _brute_force_counts(thresholds, gains, trials, seed):
+    ratios = np.concatenate([rng.standard_normal(n) / gains[:n]
+                             for rng, n in batch_generators(seed, trials)])
+    return [np.count_nonzero(ratios > s) for s in thresholds]
+
+
 @pytest.mark.parametrize("thresholds", [
     np.sort(np.random.default_rng(1).uniform(0.0, 8.0, 17)),
     np.array([0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 4.0]),
@@ -115,10 +131,39 @@ def test_error_counts_equal_a_brute_force_count(monkeypatch, deriveds, threshold
     trials, seed = _BATCH + 12_345, 17  # one full batch and one ragged batch
     gains = np.random.default_rng(2).lognormal(-0.5, 0.7, _BATCH)
     _pin_gain(monkeypatch, gains)
-    ratios = np.concatenate([rng.standard_normal(n) / gains[:n]
-                             for rng, n in batch_generators(seed, trials)])
-    expected = [np.count_nonzero(ratios > s) for s in thresholds]
+    expected = _brute_force_counts(thresholds, gains, trials, seed)
     assert _error_counts(thresholds, deriveds["case1"], trials, seed) == expected
+
+
+@pytest.mark.parametrize("trials", [1, _BATCH - 1, _BATCH + 1])
+def test_error_counts_at_batch_edges_equal_a_brute_force_count(monkeypatch, deriveds, trials):
+    # a lowest threshold of -1 puts trials with negative noise in the tail too
+    thresholds = np.array([-1.0, 0.0, 0.25, 1.0, 1.0, 3.0])
+    gains = np.random.default_rng(3).lognormal(-0.5, 0.7, _BATCH)
+    _pin_gain(monkeypatch, gains)
+    expected = _brute_force_counts(thresholds, gains, trials, 23)
+    assert _error_counts(thresholds, deriveds["case1"], trials, 23) == expected
+
+
+def test_a_ratio_equal_to_a_threshold_does_not_err_there(monkeypatch, deriveds):
+    _fix_noise(monkeypatch, np.array([0.5, 1.0, 2.0, 2.0, 3.5]))
+    _pin_gain(monkeypatch, 1.0)
+    # the ties at 0.5 and 1.0 are below the tail; the ties at 2.0 inside it
+    counts = _error_counts([0.5, 1.0, 2.0, 3.5, 4.0], deriveds["case1"], 5, 0)
+    assert counts == [4, 3, 1, 0, 0]
+
+
+def test_a_batch_with_no_trial_above_the_lowest_threshold_errs_nowhere(monkeypatch, deriveds):
+    _fix_noise(monkeypatch, np.array([-2.0, 0.0, 0.9, 1.0]))
+    _pin_gain(monkeypatch, 1.0)
+    assert _error_counts([1.0, 1.0, 2.0], deriveds["case1"], 4, 0) == [0, 0, 0]
+
+
+def test_a_batch_with_every_trial_above_the_lowest_threshold_is_counted_in_full(
+        monkeypatch, deriveds):
+    _fix_noise(monkeypatch, np.array([3.0, 5.0, 4.0, 1.0]))
+    _pin_gain(monkeypatch, 0.5)  # r = 6, 10, 8, 2
+    assert _error_counts([1.0, 2.0, 7.0, 9.0, 10.0], deriveds["case1"], 4, 0) == [4, 3, 2, 1, 0]
 
 
 def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, deriveds):
@@ -136,13 +181,7 @@ def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, d
 def test_zero_noise_over_zero_gain_is_no_error(monkeypatch, deriveds):
     # r = 0 / 0 is nan: a trial with no noise and no gain errs at no threshold
     noise = np.array([0.0, 1.0, -1.0, 0.0, 2.0])
-
-    class Fixed:
-        def standard_normal(self, out):
-            out[:] = noise
-            return out
-
-    monkeypatch.setattr(montecarlo, "batch_generators", lambda seed, n: iter([(Fixed(), n)]))
+    _fix_noise(monkeypatch, noise)
     _pin_gain(monkeypatch, np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -164,6 +203,17 @@ def test_mc_ber_over_powers_is_mc_ber_at_each(links, deriveds):
     assert estimates == [mc_ber(p, d, link, trials=60_000, seed=21) for p in watts]
     assert mc_ber(np.array(watts), d, link, trials=60_000, seed=21) == estimates
     assert mc_ber(np.float64(watts[0]), d, link, trials=60_000, seed=21) == estimates[0]
+
+
+def test_mc_ber_over_no_powers_checks_trials_and_draws_nothing(links, deriveds, monkeypatch):
+    with pytest.raises(ValueError, match="draw count must be >= 1, got 0"):
+        mc_ber([], deriveds["case1"], links["case1"], trials=0, seed=1)
+
+    def refuse(*args):
+        raise AssertionError("drew trials for no powers")
+
+    monkeypatch.setattr(montecarlo, "draw_gains", refuse)
+    assert mc_ber([], deriveds["case1"], links["case1"], trials=1_000_000, seed=1) == []
 
 
 def test_mc_ber_over_powers_checks_every_power(links, deriveds):
@@ -227,8 +277,8 @@ def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the call's buffers: two float batches, allocated once, and an index chunk
-    # of one bool batch's bytes at a time
+    # the call's buffers, allocated once: two float batches and the boolean
+    # mask of one batch that marks its tail
     assert max(peaks) <= 2 * block + _BATCH + 65_536, peaks
     assert abs(peaks[1] - peaks[0]) < block, peaks
 
