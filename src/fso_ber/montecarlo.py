@@ -16,7 +16,7 @@ once, and at one power it makes the same count against one threshold. A
 sweep's point at P therefore equals ``mc_ber`` at P alone, and neighbouring
 points share their trials. A trial with r at or below the lowest threshold
 errs at no power, so each batch places only its upper tail, r > snr[0]
-(about one trial in eight on the presets), among the thresholds: that
+(about one trial in eight on the default sweep), among the thresholds: that
 decision is exact, not a skip, as every trial that errs anywhere is in the
 tail. Trials run serially in the fixed 50 000-trial batches of
 :func:`batch_generators`, each on its own SFC64 generator, so the estimates

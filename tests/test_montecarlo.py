@@ -145,25 +145,16 @@ def test_error_counts_at_batch_edges_equal_a_brute_force_count(monkeypatch, deri
     assert _error_counts(thresholds, deriveds["case1"], trials, 23) == expected
 
 
-def test_a_ratio_equal_to_a_threshold_does_not_err_there(monkeypatch, deriveds):
-    _fix_noise(monkeypatch, np.array([0.5, 1.0, 2.0, 2.0, 3.5]))
-    _pin_gain(monkeypatch, 1.0)
-    # the ties at 0.5 and 1.0 are below the tail; the ties at 2.0 inside it
-    counts = _error_counts([0.5, 1.0, 2.0, 3.5, 4.0], deriveds["case1"], 5, 0)
-    assert counts == [4, 3, 1, 0, 0]
-
-
-def test_a_batch_with_no_trial_above_the_lowest_threshold_errs_nowhere(monkeypatch, deriveds):
-    _fix_noise(monkeypatch, np.array([-2.0, 0.0, 0.9, 1.0]))
-    _pin_gain(monkeypatch, 1.0)
-    assert _error_counts([1.0, 1.0, 2.0], deriveds["case1"], 4, 0) == [0, 0, 0]
-
-
-def test_a_batch_with_every_trial_above_the_lowest_threshold_is_counted_in_full(
-        monkeypatch, deriveds):
-    _fix_noise(monkeypatch, np.array([3.0, 5.0, 4.0, 1.0]))
-    _pin_gain(monkeypatch, 0.5)  # r = 6, 10, 8, 2
-    assert _error_counts([1.0, 2.0, 7.0, 9.0, 10.0], deriveds["case1"], 4, 0) == [4, 3, 2, 1, 0]
+@pytest.mark.parametrize("ratios, thresholds, expected", [
+    # the ties at 0.5 and 1.0 are outside the tail, the ties at 2.0 inside it
+    ([0.5, 1.0, 2.0, 2.0, 3.5], [0.5, 1.0, 2.0, 3.5, 4.0], [4, 3, 1, 0, 0]),
+    ([-2.0, 0.0, 0.9, 1.0], [1.0, 1.0, 2.0], [0, 0, 0]),
+    ([6.0, 10.0, 8.0, 2.0], [1.0, 2.0, 7.0, 9.0, 10.0], [4, 3, 2, 1, 0]),
+], ids=["ties-do-not-err", "no-trial-in-the-tail", "every-trial-in-the-tail"])
+def test_one_batch_is_decided_from_its_tail(monkeypatch, deriveds, ratios, thresholds, expected):
+    _fix_noise(monkeypatch, 2.0 * np.array(ratios))
+    _pin_gain(monkeypatch, 2.0)
+    assert _error_counts(thresholds, deriveds["case1"], len(ratios), 0) == expected
 
 
 def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, deriveds):
