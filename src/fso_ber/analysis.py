@@ -88,8 +88,8 @@ def sweep(
     point keeps the :class:`McEstimate` that ``mc_ber`` gives at its power
     alone, and the points share their trials. A failure names the method and
     the power, or for Monte Carlo the grid's span. ``workers`` has no effect
-    and is kept for callers that pass it: no sweep starts a thread, and
-    results do not depend on it.
+    and is kept for callers that pass it: Monte Carlo shares its batches
+    among the CPUs the process may run on, and results depend on neither.
     """
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:

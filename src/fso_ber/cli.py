@@ -42,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", dest="output_path", metavar="DIR",
                        help="Output directory (default fso-ber-out).")
     p_run.add_argument("--workers", dest="workers", metavar="N",
-                       help="Accepted for compatibility (N >= 1) and has no effect: every "
-                            "sweep runs on one thread, and Monte Carlo decides all grid "
-                            "points from one set of trials.")
+                       help="Accepted for compatibility (N >= 1) and has no effect: "
+                            "analytic sweeps run on one thread, and Monte Carlo uses the "
+                            "CPUs the process may run on.")
     return parser
 
 

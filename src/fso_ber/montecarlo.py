@@ -18,17 +18,20 @@ points share their trials. A trial with r at or below the lowest threshold
 errs at no power, so each batch places only its upper tail, r > snr[0]
 (about one trial in eight on the default sweep), among the thresholds: that
 decision is exact, not a skip, as every trial that errs anywhere is in the
-tail. Trials run serially in the fixed 50 000-trial batches of
-:func:`batch_generators`, each on its own SFC64 generator, so the estimates
-depend only on (seed, trials). Every batch draws into the same two float
-arrays and marks its tail in one boolean array, all allocated once per call,
-so a call's memory does not grow with the trial count. This module holds all
-of the package's randomness.
+tail. Trials run in the fixed 50 000-trial batches of
+:func:`batch_generators`, each on its own SFC64 generator, shared out among
+one thread per CPU the process may run on; integer counts add in any order,
+so the estimates depend only on (seed, trials), never on the CPU count. Each
+thread draws into its own two float arrays and marks its tail in its own
+boolean array, allocated once per call, so a call's memory does not grow
+with the trial count. This module holds all of the package's randomness.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -37,7 +40,7 @@ import numpy as np
 from .channel import DerivedParams, LinkParams
 
 # fixed sub-batch size; part of the determinism contract. The buffers of one
-# call (two float batches and one bool batch, about 0.85 MB) fit in a core's
+# thread (two float batches and one bool batch, about 0.85 MB) fit in a core's
 # L2 cache, and it divides 5e4, 2e5 and 1e6.
 _BATCH = 50_000
 # two-sided 99% normal quantile, Phi^-1(0.995); pinned and asserted in tests
@@ -129,6 +132,14 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int) -> list[int]:
     """Errors at each of the non-decreasing thresholds ``snr``, all from one set of trials.
 
@@ -141,25 +152,66 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     threshold when n > 0 and at none when n < 0; r = 0/0 = nan fails
     r > snr[0], so it is counted nowhere, as n > s h is false for n = h = 0.
     An empty ``snr`` checks ``trials`` and draws nothing.
+
+    The calling thread and ``min(cpus, batches) - 1`` helper threads take the
+    batches one at a time from the one generator of :func:`batch_generators`
+    (numpy's drawing, dividing, copying and sorting release the GIL). Each
+    thread decides into its own buffers and counts, and the counts are summed
+    at the end. With one batch or one CPU no thread starts. The first
+    exception in any thread stops the others at their next batch and is
+    raised once every helper has exited.
     """
     batches = batch_generators(seed, trials)  # checks trials before the allocation
     snr = np.asarray(snr, dtype=float)
     if snr.size == 0:
         return []
     size = min(_BATCH, trials)
-    h, e, above = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    counts = np.zeros(snr.size, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rng, n in batches:
-            r = draw_gains(rng, d, n, h, e)
-            noise = rng.standard_normal(out=e[:n])
-            np.divide(noise, r, out=r)
-            mask = np.greater(r, snr[0], out=above[:n])
-            k = np.count_nonzero(mask)
-            tail = np.compress(mask, r, out=e[:k])  # the noise is spent
-            tail.sort()
-            counts += k - np.searchsorted(tail, snr, side="right")
-    return counts.tolist()
+    # every thread's buffers exist for the whole call, so its peak memory does
+    # not depend on how the threads happen to overlap
+    buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+               for _ in range(min(_usable_cpus(), -(-trials // _BATCH)))]
+    lock, stop = threading.Lock(), threading.Event()
+    totals, failures = [], []
+
+    def work(h: np.ndarray, e: np.ndarray, above: np.ndarray) -> None:
+        counts = np.zeros(snr.size, dtype=np.int64)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):  # per thread
+                while not stop.is_set():
+                    with lock:
+                        batch = next(batches, None)
+                    if batch is None:
+                        break
+                    rng, n = batch
+                    r = draw_gains(rng, d, n, h, e)
+                    noise = rng.standard_normal(out=e[:n])
+                    np.divide(noise, r, out=r)
+                    mask = np.greater(r, snr[0], out=above[:n])
+                    k = np.count_nonzero(mask)
+                    tail = np.compress(mask, r, out=e[:k])  # the noise is spent
+                    tail.sort()
+                    counts += k - np.searchsorted(tail, snr, side="right")
+        except BaseException as exc:
+            stop.set()
+            failures.append(exc)
+        totals.append(counts)
+
+    helpers = []
+    try:
+        for own in buffers[1:]:
+            thread = threading.Thread(target=work, args=own, name="fso_ber-mc")
+            thread.start()
+            helpers.append(thread)
+        work(*buffers[0])
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return np.sum(totals, axis=0).tolist()
 
 
 def _threshold(p_watts: float, link: LinkParams) -> float:

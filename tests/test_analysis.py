@@ -16,8 +16,10 @@ from fso_ber import (
     mc_ber,
     sweep,
 )
+from fso_ber import montecarlo
 from fso_ber.analysis import _ANALYTIC, power_gap, power_grid
 from fso_ber.ber import BerMethod
+from fso_ber.montecarlo import _BATCH
 
 FEC = 3.84e-3
 
@@ -137,15 +139,36 @@ def test_sweep_annotates_an_integrand_error_from_a_ber_method(monkeypatch, links
     assert math.isnan(excinfo.value.value)
 
 
-def test_no_sweep_starts_a_thread(monkeypatch, links, deriveds):
+def _refuse_threads(monkeypatch):
     def no_thread(self):
         raise AssertionError("a sweep started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    methods = {BerMethod.EXACT, BerMethod.APPROX_NEW, BerMethod.MONTE_CARLO}
+
+
+def test_an_analytic_sweep_starts_no_thread(monkeypatch, links, deriveds):
+    _refuse_threads(monkeypatch)
+    curves = sweep({BerMethod.EXACT, BerMethod.APPROX_NEW}, (-4.0, 0.0, 2.0),
+                   deriveds["case1"], links["case1"], workers=2)
+    assert [len(c.points) for c in curves] == [3, 3]
+
+
+@pytest.mark.parametrize("mc_trials", [1, _BATCH])
+def test_a_one_batch_monte_carlo_sweep_starts_no_thread(monkeypatch, links, deriveds, mc_trials):
+    _refuse_threads(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    methods = {BerMethod.EXACT, BerMethod.MONTE_CARLO}
     curves = sweep(methods, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"],
-                   mc_trials=60_000, seed=3, workers=2)
-    assert [len(c.points) for c in curves] == [3, 3, 3]
+                   mc_trials=mc_trials, seed=3, workers=2)
+    assert [len(c.points) for c in curves] == [3, 3]
+
+
+def test_a_monte_carlo_sweep_on_one_cpu_starts_no_thread(monkeypatch, links, deriveds):
+    _refuse_threads(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    (curve,) = sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), deriveds["case1"],
+                     links["case1"], mc_trials=3 * _BATCH + 1, seed=3, workers=2)
+    assert [pt.mc.trials for pt in curve.points] == [3 * _BATCH + 1] * 3
 
 
 def test_sweep_mc_requires_config(links, deriveds):

@@ -1,5 +1,6 @@
 import ast
 import math
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -212,20 +213,30 @@ def test_mc_ber_over_powers_checks_every_power(links, deriveds):
         mc_ber([1e-3, math.inf], deriveds["case1"], links["case1"], trials=100, seed=1)
 
 
+def _spawn_key(rng):
+    """The batch's place among its seed's children: (i,) for batch i."""
+    # numpy < 1.25 keeps the seed sequence only as the private _seed_seq
+    bit_generator = rng.bit_generator
+    return (getattr(bit_generator, "seed_seq", None) or bit_generator._seed_seq).spawn_key
+
+
 def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
     link, d = links["case1"], deriveds["case1"]
-    drawn = []
+    drawn, lock = {}, threading.Lock()
 
     def recording(rng, d, n, out, e):
         h = draw_gains(rng, d, n, out, e)
-        drawn.append(h.copy())
+        with lock:  # the batches are drawn on two threads, in either order
+            drawn[_spawn_key(rng)] = h.copy()
         return h
 
     monkeypatch.setattr(montecarlo, "draw_gains", recording)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     trials = _BATCH + _BATCH // 5  # crosses the batch boundary, ends in a ragged batch
     mc_ber(dbm_to_watts(0.0), d, link, trials=trials, seed=5)
-    assert [h.size for h in drawn] == [_BATCH, _BATCH // 5]
-    assert np.array_equal(np.concatenate(drawn), sample_h(d, trials, seed=5))
+    batches = [drawn[key] for key in sorted(drawn)]
+    assert [h.size for h in batches] == [_BATCH, _BATCH // 5]
+    assert np.array_equal(np.concatenate(batches), sample_h(d, trials, seed=5))
 
 
 def test_batch_generators_are_made_as_consumed(monkeypatch):
@@ -250,16 +261,76 @@ def test_batch_generators_are_made_as_consumed(monkeypatch):
     assert spawned == [1] * len(children)
 
 
+@pytest.mark.parametrize("trials", [_BATCH // 3, _BATCH + 1, 3 * _BATCH + 7_777],
+                         ids=["one-short-batch", "one-trial-over", "ragged-last-batch"])
+def test_mc_ber_does_not_depend_on_the_cpu_count(links, deriveds, monkeypatch, trials):
+    link, d = links["case3"], deriveds["case3"]
+    watts = [dbm_to_watts(p) for p in (-4.0, 0.0, 2.0, 4.0, 6.0)]
+    results = {}
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        results[cpus] = mc_ber(watts, d, link, trials=trials, seed=29)
+    assert all(est.errors > 0 for est in results[1])
+    assert all(found == results[1] for found in results.values())
+
+
+@pytest.mark.parametrize("cpus, trials, helpers", [
+    (1, 4 * _BATCH, 0), (2, _BATCH, 0), (2, _BATCH + 1, 1), (3, 4 * _BATCH, 2),
+    (8, 3 * _BATCH, 2),
+])
+def test_mc_ber_starts_one_helper_per_further_cpu_and_batch(
+        links, deriveds, monkeypatch, cpus, trials, helpers):
+    baseline = threading.active_count()
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    mc_ber([1e-3, 2e-3], deriveds["case1"], links["case1"], trials=trials, seed=2)
+    assert len(started) == helpers == min(cpus, -(-trials // _BATCH)) - 1
+    assert threading.active_count() == baseline
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_a_failing_batch_stops_every_thread_and_is_raised(links, deriveds, monkeypatch):
+    class Failed(Exception):
+        pass
+
+    calls, lock = [], threading.Lock()
+
+    def failing_third(rng, d, n, out, e):
+        with lock:
+            calls.append(n)
+            if len(calls) == 3:
+                raise Failed("batch 3")
+        return draw_gains(rng, d, n, out, e)
+
+    monkeypatch.setattr(montecarlo, "draw_gains", failing_third)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    baseline = threading.active_count()
+    batches = 20
+    with pytest.raises(Failed, match="batch 3"):
+        mc_ber(1e-3, deriveds["case1"], links["case1"], trials=batches * _BATCH, seed=6)
+    # the helpers have exited, and they stopped at their next batch
+    assert threading.active_count() == baseline
+    assert len(calls) < batches
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_batch_generators_reject_a_bad_count_at_the_call(n):
     with pytest.raises(ValueError, match="draw count"):
         batch_generators(1, n)  # not iterated
 
 
-def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
+def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds, monkeypatch):
     # numpy reports its buffers to tracemalloc; a float64 array of one batch
     block = _BATCH * np.dtype(np.float64).itemsize
     link, d = links["case1"], deriveds["case1"]
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)  # the caller and one helper
     peaks = []
     for trials in (100_000, 3_000_000):
         tracemalloc.start()
@@ -268,9 +339,9 @@ def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the call's buffers, allocated once: two float batches and the boolean
-    # mask of one batch that marks its tail
-    assert max(peaks) <= 2 * block + _BATCH + 65_536, peaks
+    # each thread's buffers, allocated once: two float batches and the
+    # boolean mask of one batch that marks its tail
+    assert max(peaks) <= 2 * (2 * block + _BATCH) + 65_536, peaks
     assert abs(peaks[1] - peaks[0]) < block, peaks
 
 
