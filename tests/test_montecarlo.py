@@ -291,7 +291,7 @@ def test_mc_ber_starts_one_helper_per_further_cpu_and_batch(
     monkeypatch.setattr(threading.Thread, "start", counting)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     mc_ber([1e-3, 2e-3], deriveds["case1"], links["case1"], trials=trials, seed=2)
-    assert len(started) == helpers == min(cpus, -(-trials // _BATCH)) - 1
+    assert len(started) == helpers
     assert threading.active_count() == baseline
     assert not any(thread.is_alive() for thread in started)
 
