@@ -90,7 +90,11 @@ def sweep(
     the power, or for Monte Carlo the grid's span. ``workers`` has no effect
     and is kept for callers that pass it: Monte Carlo shares its batches
     among the CPUs the process may run on, and results depend on neither.
+    An entry of ``methods`` that is not a :class:`BerMethod` raises ``ValueError``.
     """
+    unknown = sorted(map(repr, set(methods) - set(BerMethod)))
+    if unknown:
+        raise ValueError(f"sweep methods must be BerMethod members, got {', '.join(unknown)}")
     wanted = [m for m in BerMethod if m in set(methods)]
     if not wanted:
         return []

@@ -80,11 +80,6 @@ def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams
     return 0.5 * math.erfc(_snr_scale(p_watts, link) * h)
 
 
-def _integrand(kernel: Kernel, c: float, d: DerivedParams):
-    """v-space BER integrand 0.5 E(u) (beta/2) D_E(v) of one kernel; u >= 0."""
-    return weighted_log_gain_density(d, kernel, c, kernel.e_pos, _U_CUTOFF)
-
-
 def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list[float]:
     """Segment boundaries of the window where the integrand has mass, or [] if
     there is none.
@@ -147,9 +142,8 @@ def _ber_average(
 ) -> float:
     """The kernel's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
-    return _integrate_segments(
-        _integrand(kernel, c, d), _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE, what, p_watts,
-    )
+    f = weighted_log_gain_density(d, kernel, c, kernel.e_pos)
+    return _integrate_segments(f, _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE, what, p_watts)
 
 
 def ber_exact(
@@ -211,14 +205,14 @@ def ber_approx_prev(
     prefactor = b / (4.0 * math.pi)
     # abs_tol bounds the integral without its prefactor, as the printed form has it
     tol = replace(tol, abs_tol=tol.abs_tol * prefactor)
-    f = _integrand(ASYMPTOTIC_KERNEL, c, d)
+    f = weighted_log_gain_density(d, ASYMPTOTIC_KERNEL, c, ASYMPTOTIC_KERNEL.e_pos)
 
     pts = _v_breakpoints(d, c, 0.0)
     if not pts:
         return 0.0
     what = "legacy BER approximation"
-    u0 = c * d.h_hat
-    k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 <= _U_CUTOFF else 0.0
+    u0 = c * d.h_hat  # at most _U_CUTOFF: a larger u0 empties the window
+    k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 else 0.0
     # the endpoint segment's first rule estimates its target, and stays its first rule
     first_rule = _rule(f, pts[0], pts[1])
     target = tol.target(first_rule[0])

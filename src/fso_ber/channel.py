@@ -188,19 +188,23 @@ def log_gain_window(d: DerivedParams) -> tuple[float, float]:
     return lo, 0.5 * b + 6.0
 
 
-def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight, u_max: float):
+def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight):
     """v -> 0.5 weight(u) f_E(v) with u = c h(v): the v-space integrand of the
     average of 0.5 weight(c h) over the gain density, with erfc replaced by the
     stand-in E of a kernel, see :mod:`fso_ber.special`.
 
-    It is 0 where u > u_max, and wherever the density is 0, so that a weight
-    that grows as u -> 0 cannot turn 0 into inf * 0. The density
-    f_E(v) = (b/2) exp(b v - b^2/4) E(v) is evaluated through
-    E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian factors combine into
-    exp(-(v - b/2)^2) and nothing overflows however large b gets; below 0 it
-    calls E's z < 0 branch. This is the only place the density's two branches
-    are written: the BER integrands take weight = E's z >= 0 branch, since
-    u >= 0, and the density alone is weight = 2, since 0.5 * 2 is exactly 1.
+    It checks no range: every BER window (:func:`log_gain_window`, clipped
+    where u = 40) keeps (v - b/2)^2 <= 120 above 0 and b v - b^2/4 >= -120
+    below it, so u is finite and the density at least exp(-120) times a
+    positive factor at every node; past a window weight(u) and math.exp
+    underflow to 0.0. Only u's overflow is guarded, as the density alone takes
+    any v. The density f_E(v) = (b/2) exp(b v - b^2/4) E(v) is evaluated
+    through E_x(v) = exp(v^2) E(v) for v >= 0 so the Gaussian factors combine
+    into exp(-(v - b/2)^2) and nothing overflows however large b gets; below 0
+    it calls E's z < 0 branch. This is the only place the density's two
+    branches are written: the BER integrands take weight = E's z >= 0 branch,
+    since u >= 0, and the density alone is weight = 2, since 0.5 * 2 is
+    exactly 1.
     """
     e_neg, _, e_x = kernel
     b = d.beta
@@ -214,18 +218,11 @@ def weighted_log_gain_density(d: DerivedParams, kernel: Kernel, c: float, weight
     def f(v: float) -> float:
         ln_u = ln_c + s * v - mu
         u = exp(ln_u) if ln_u < 300.0 else inf
-        if u > u_max:
-            return 0.0
         if v >= 0.0:
             t = v - half_b
             density = half_b * e_x(v) * exp(-t * t)
         else:
-            exponent = b * v - quarter_b_sq
-            if exponent < -700.0:
-                return 0.0
-            density = half_b * e_neg(v) * exp(exponent)
-        if density == 0.0:
-            return 0.0
+            density = half_b * e_neg(v) * exp(b * v - quarter_b_sq)
         return 0.5 * weight(u) * density
 
     return f
@@ -237,7 +234,7 @@ def _two(u: float) -> float:
 
 def log_gain_pdf(v: float, d: DerivedParams) -> float:
     """Density of the normalized log-gain, (beta/2) exp(beta v - beta^2/4) erfc(v)."""
-    return weighted_log_gain_density(d, EXACT_KERNEL, 1.0, _two, math.inf)(v)
+    return weighted_log_gain_density(d, EXACT_KERNEL, 1.0, _two)(v)
 
 
 def pdf_h(h: float, d: DerivedParams) -> float:

@@ -20,7 +20,8 @@ errs at no power, so each batch places only its upper tail, r > snr[0]
 decision is exact, not a skip, as every trial that errs anywhere is in the
 tail. Trials run in the fixed 50 000-trial batches of
 :func:`batch_generators`, each on its own SFC64 generator, shared out among
-one thread per CPU the process may run on; integer counts add in any order,
+the calling thread and a ``concurrent.futures`` thread pool, one thread per
+CPU the process may run on in all; integer counts add in any order,
 so the estimates depend only on (seed, trials), never on the CPU count. Each
 thread draws into its own two float arrays and marks its tail in its own
 boolean array, allocated once per call, so a call's memory does not grow
@@ -153,13 +154,13 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     r > snr[0], so it is counted nowhere, as n > s h is false for n = h = 0.
     An empty ``snr`` checks ``trials`` and draws nothing.
 
-    The calling thread and ``min(cpus, batches) - 1`` helper threads take the
-    batches one at a time from the one generator of :func:`batch_generators`
-    (numpy's drawing, dividing, copying and sorting release the GIL). Each
-    thread decides into its own buffers and counts, and the counts are summed
-    at the end. With one batch or one CPU no thread starts. The first
-    exception in any thread stops the others at their next batch and is
-    raised once every helper has exited.
+    The calling thread and ``min(cpus, batches) - 1`` helper threads of a
+    ``concurrent.futures`` pool take the batches one at a time from the one
+    generator of :func:`batch_generators` (numpy's drawing, dividing, copying
+    and sorting release the GIL). Each thread decides into its own buffers
+    and counts, and the counts are summed at the end. With one batch or one
+    CPU no thread starts. An exception in any thread stops the others at
+    their next batch and is raised once every helper has exited.
     """
     batches = batch_generators(seed, trials)  # checks trials before the allocation
     snr = np.asarray(snr, dtype=float)
@@ -171,9 +172,8 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool))
                for _ in range(min(_usable_cpus(), -(-trials // _BATCH)))]
     lock, stop = threading.Lock(), threading.Event()
-    totals, failures = [], []
 
-    def work(h: np.ndarray, e: np.ndarray, above: np.ndarray) -> None:
+    def work(h: np.ndarray, e: np.ndarray, above: np.ndarray) -> np.ndarray:
         counts = np.zeros(snr.size, dtype=np.int64)
         try:
             with np.errstate(divide="ignore", invalid="ignore"):  # per thread
@@ -191,27 +191,21 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
                     tail = np.compress(mask, r, out=e[:k])  # the noise is spent
                     tail.sort()
                     counts += k - np.searchsorted(tail, snr, side="right")
-        except BaseException as exc:
+        except BaseException:
             stop.set()
-            failures.append(exc)
-        totals.append(counts)
+            raise
+        return counts
 
-    helpers = []
-    try:
-        for own in buffers[1:]:
-            thread = threading.Thread(target=work, args=own, name="fso_ber-mc")
-            thread.start()
-            helpers.append(thread)
-        work(*buffers[0])
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return np.sum(totals, axis=0).tolist()
+    if len(buffers) == 1:
+        return work(*buffers[0]).tolist()
+    from concurrent.futures import ThreadPoolExecutor  # importing the package does not load it
+
+    with ThreadPoolExecutor(len(buffers) - 1, thread_name_prefix="fso_ber-mc") as pool:
+        helpers = [pool.submit(work, *own) for own in buffers[1:]]
+        counts = work(*buffers[0])
+        for helper in helpers:
+            counts += helper.result()
+    return counts.tolist()
 
 
 def _threshold(p_watts: float, link: LinkParams) -> float:

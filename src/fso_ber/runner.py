@@ -1,15 +1,15 @@
 """Run orchestration: evaluate curves, locate crossings, emit CSV and report.
 
-Output files are written atomically (temp file in the target directory, then
-rename) and only after every computation has succeeded, so a failing run
-leaves no partial artifacts behind.
+Output files are written only after every computation has succeeded: both go
+to temp files in the target directory, with the mode open(path, "w") gives
+under the umask, before either is renamed into place. So a failing run leaves
+no partial artifacts behind, unless the second rename itself fails.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -108,15 +108,23 @@ def render_report(
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+def _write_atomic(outputs: dict[Path, str]) -> None:
+    """Write every text to a temp file, then rename each onto its path; a
+    failure removes the temp files."""
+    renames = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs.items():
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            # 0o666 less the umask, as open(path, "w") creates a file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            renames.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, path in renames:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in renames:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -147,6 +155,5 @@ def run(config: RunConfig) -> RunArtifacts:
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = RunArtifacts(out_dir / "curves.csv", out_dir / "report.txt")
-    _write_atomic(artifacts.csv_path, csv_text)
-    _write_atomic(artifacts.report_path, report_text)
+    _write_atomic({artifacts.csv_path: csv_text, artifacts.report_path: report_text})
     return artifacts

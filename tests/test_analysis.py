@@ -16,7 +16,7 @@ from fso_ber import (
     mc_ber,
     sweep,
 )
-from fso_ber import montecarlo
+from fso_ber import analysis, montecarlo
 from fso_ber.analysis import _ANALYTIC, power_gap, power_grid
 from fso_ber.ber import BerMethod
 from fso_ber.montecarlo import _BATCH
@@ -67,6 +67,17 @@ def test_sweep_rejects_non_finite_range(p_range, links, deriveds):
 
 def test_sweep_empty_methods(links, deriveds):
     assert sweep((), (-4.0, 16.0, 0.5), deriveds["case1"], links["case1"]) == []
+
+
+@pytest.mark.parametrize("methods, named", [
+    (["exact"], "'exact'"),
+    ([BerMethod.EXACT, "approx-new"], "'approx-new'"),
+])
+def test_sweep_rejects_entries_that_are_not_methods(methods, named, links, deriveds,
+                                                    monkeypatch):
+    monkeypatch.setattr(analysis, "power_grid", None)  # rejected before any work
+    with pytest.raises(ValueError, match=f"BerMethod members, got {named}$"):
+        sweep(methods, (-4.0, 16.0, 0.5), deriveds["case1"], links["case1"])
 
 
 def test_sweep_exact_grid_and_monotone(links, deriveds):

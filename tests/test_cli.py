@@ -1,4 +1,5 @@
 import hashlib
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fso_ber import RunConfig, derive
 from fso_ber.ber import BerMethod
 from fso_ber.cli import main
 from fso_ber.config import preset_config
+from fso_ber import runner
 from fso_ber.runner import CSV_HEADER, run
 
 FAST = dict(sweep=(-4.0, 16.0, 2.0), methods=(BerMethod.EXACT, BerMethod.APPROX_NEW))
@@ -99,6 +101,32 @@ def test_run_failure_leaves_no_artifacts(tmp_path):
         run(cfg)
     assert not (out / "curves.csv").exists()
     assert not (out / "report.txt").exists()
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    out = tmp_path / "a"
+    out.mkdir()
+    probe = out / "probe"
+    with open(probe, "w"):
+        pass
+    expected = stat.S_IMODE(probe.stat().st_mode)
+    for _ in range(2):  # a rerun replaces files that already exist
+        artifacts = run(_fast_config(out))
+        for path in (artifacts.csv_path, artifacts.report_path):
+            assert stat.S_IMODE(path.stat().st_mode) == expected, path
+
+
+def test_a_failing_report_write_leaves_no_file(tmp_path, monkeypatch):
+    out = tmp_path / "a"
+
+    def unencodable(*args):
+        return "\udc80"  # a lone surrogate: its UTF-8 write raises
+
+    monkeypatch.setattr(runner, "render_report", unencodable)
+    with pytest.raises(UnicodeEncodeError):
+        run(_fast_config(out))
+    # curves.csv's temp file was written first, and is gone with the report's
+    assert [p.name for p in out.iterdir()] == []
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from fso_ber import (
     PRESETS,
     LinkParams,
+    NonConvergenceError,
     RegimeError,
     ber_approx_new,
     ber_approx_prev,
@@ -211,6 +212,27 @@ def test_ber_is_non_increasing_in_power(log_pointing, log_rytov, p1_dbm, p2_dbm,
     assert at_high <= at_low + max(_REL_TOL * at_low, _ABS_TOL)
 
 
+@pytest.mark.parametrize("rytov", (1e-6, 1e-3, 0.1, 0.5, 1.0))
+@pytest.mark.parametrize("pointing_m", (1e-3, 1e-2, 0.1, 1.0, 3.0))
+def test_every_ber_is_a_finite_number_or_a_documented_refusal(pointing_m, rytov):
+    # the BER integrand checks no range of its own; it relies on every node of
+    # every window keeping u finite, the density positive and approx-prev's
+    # 1/u weight finite, so nothing here may raise IntegrandError,
+    # ZeroDivisionError or OverflowError
+    link = _link(pointing_m, rytov)
+    d = derive(link)
+    for p_dbm in range(-80, 81, 20):
+        p = dbm_to_watts(p_dbm)
+        for method in (ber_exact, ber_approx_new):
+            value = method(p, d, link)
+            assert type(value) is float and math.isfinite(value) and value >= 0.0, p_dbm
+        try:
+            value = ber_approx_prev(p, d, link)
+        except (NonConvergenceError, RegimeError):
+            continue
+        assert type(value) is float and math.isfinite(value) and value >= 0.0, p_dbm
+
+
 def test_window_is_continuous_where_its_lower_end_changes_form():
     edge = 2.0 * math.sqrt(120.0)
     below = log_gain_window(SimpleNamespace(beta=math.nextafter(edge, 0.0)))
@@ -234,10 +256,10 @@ def test_window_is_continuous_where_its_lower_end_changes_form():
 def test_integrand_is_evaluated_only_where_it_has_mass(pointing_m, rytov, p_dbm, method, start,
                                                         monkeypatch):
     nodes = []
-    make_integrand = ber_module._integrand
+    make_integrand = ber_module.weighted_log_gain_density
 
-    def recording_integrand(kernel, c, d):
-        f = make_integrand(kernel, c, d)
+    def recording_integrand(d, kernel, c, weight):
+        f = make_integrand(d, kernel, c, weight)
 
         def g(v):
             nodes.append(v)
@@ -245,7 +267,7 @@ def test_integrand_is_evaluated_only_where_it_has_mass(pointing_m, rytov, p_dbm,
 
         return g
 
-    monkeypatch.setattr(ber_module, "_integrand", recording_integrand)
+    monkeypatch.setattr(ber_module, "weighted_log_gain_density", recording_integrand)
     link = _link(pointing_m, rytov)
     d = derive(link)
     p = dbm_to_watts(p_dbm)
