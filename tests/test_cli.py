@@ -4,11 +4,10 @@ import stat
 import numpy as np
 import pytest
 
-from fso_ber import RunConfig, derive
+from fso_ber import RunConfig, derive, runner
 from fso_ber.ber import BerMethod
 from fso_ber.cli import main
 from fso_ber.config import preset_config
-from fso_ber import runner
 from fso_ber.runner import CSV_HEADER, run
 
 FAST = dict(sweep=(-4.0, 16.0, 2.0), methods=(BerMethod.EXACT, BerMethod.APPROX_NEW))
