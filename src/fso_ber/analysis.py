@@ -63,11 +63,24 @@ def power_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _annotate(exc: Exception, method: BerMethod, p_dbm: str) -> None:
-    """Prefix the message with the method and the power ``p_dbm`` names, in
-    place, so the exception keeps its type, attributes and traceback whatever
-    its constructor takes."""
-    exc.args = (f"{method.value} failed at P = {p_dbm} dBm: {exc}",)
+def _ber_call(method: BerMethod, fn, p_dbm, *args):
+    """``fn`` at ``p_dbm`` converted to watts, then ``args``: one BER call of
+    ``method``. ``p_dbm`` is a power in dBm, or for Monte Carlo the list of a
+    grid's powers.
+
+    This is where every failed BER call is named: its message, which states
+    only the cause, gets "<method> failed at P = <power> dBm: " in front, a
+    list named by its span. The prefix is set in place, so the exception keeps
+    its type, attributes and traceback whatever its constructor takes.
+    """
+    try:
+        if isinstance(p_dbm, list):
+            return fn([dbm_to_watts(p) for p in p_dbm], *args)
+        return fn(dbm_to_watts(p_dbm), *args)
+    except Exception as exc:
+        at = f"{p_dbm[0]:g} .. {p_dbm[-1]:g}" if isinstance(p_dbm, list) else f"{p_dbm:g}"
+        exc.args = (f"{method.value} failed at P = {at} dBm: {exc}",)
+        raise
 
 
 def sweep(
@@ -92,10 +105,11 @@ def sweep(
     among the CPUs the process may run on, and results depend on neither.
     An entry of ``methods`` that is not a :class:`BerMethod` raises ``ValueError``.
     """
-    unknown = sorted(map(repr, set(methods) - set(BerMethod)))
+    chosen = set(methods)
+    unknown = sorted(map(repr, chosen - set(BerMethod)))
     if unknown:
         raise ValueError(f"sweep methods must be BerMethod members, got {', '.join(unknown)}")
-    wanted = [m for m in BerMethod if m in set(methods)]
+    wanted = [m for m in BerMethod if m in chosen]
     if not wanted:
         return []
     grid = power_grid(*p_range_dbm)
@@ -105,31 +119,13 @@ def sweep(
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
-            watts = _at_each(method, grid, dbm_to_watts)
-            try:
-                estimates = mc_ber(watts, d, link, mc_trials, seed)
-            except Exception as exc:
-                _annotate(exc, method, f"{grid[0]:g} .. {grid[-1]:g}")
-                raise
+            estimates = _ber_call(method, mc_ber, grid, d, link, mc_trials, seed)
             points = [BerPoint(p, est.ber, est) for p, est in zip(grid, estimates)]
         else:
             fn = _ANALYTIC[method]
-            points = _at_each(method, grid,
-                              lambda p: BerPoint(p, fn(dbm_to_watts(p), d, link)))
+            points = [BerPoint(p, _ber_call(method, fn, p, d, link)) for p in grid]
         curves.append(BerCurve(method, tuple(points)))
     return curves
-
-
-def _at_each(method: BerMethod, grid: list[float], fn) -> list:
-    """``fn`` at every grid point; a failure names the method and the power."""
-    values = []
-    for p in grid:
-        try:
-            values.append(fn(p))
-        except Exception as exc:
-            _annotate(exc, method, f"{p:g}")
-            raise
-    return values
 
 
 def fec_crossing(
@@ -148,7 +144,7 @@ def fec_crossing(
     result is the bracket midpoint, with BER(lo) > threshold >= BER(hi).
     BER must decrease with power: a rise, or a repeated positive value, among
     the probed points aborts with a diagnostic rather than returning a bogus
-    root.
+    root. A failed BER call names the method and the power, as in :func:`sweep`.
     """
     if not (0.0 < threshold < 0.5):
         raise ValueError(f"threshold must be in (0, 0.5), got {threshold!r}")
@@ -160,7 +156,7 @@ def fec_crossing(
 
     def ber_at(p: float) -> float:
         if p not in cache:
-            cache[p] = fn(dbm_to_watts(p), d, link)
+            cache[p] = _ber_call(method, fn, p, d, link)
         return cache[p]
 
     def check_monotone() -> None:

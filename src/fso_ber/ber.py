@@ -29,6 +29,9 @@ The three analytic averages are one integrand,
 
 with the method's erfc stand-in E substituted for both erfc factors (see the
 kernels in :mod:`fso_ber.special`).
+
+A failed average raises with its cause alone; :mod:`fso_ber.analysis` puts
+the method and the power in front of it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .channel import (
     DerivedParams,
     LinkParams,
     log_gain_window,
-    watts_to_dbm,
     weighted_log_gain_density,
 )
 from .errors import NonConvergenceError, RegimeError
@@ -112,13 +114,8 @@ def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list
     return pts
 
 
-def _label(what: str, p_watts: float) -> str:
-    return f"{what} at {watts_to_dbm(p_watts):.3f} dBm"
-
-
 def _integrate_segments(
-    f, pts: list[float], tol: Tolerance, what: str, p_watts: float,
-    first_rule: tuple[float, float] | None = None,
+    f, pts: list[float], tol: Tolerance, first_rule: tuple[float, float] | None = None
 ) -> float:
     """The sum of the integrals over consecutive segments of ``pts``; ``first_rule``
     is the rule already applied to the first segment, if any."""
@@ -128,7 +125,7 @@ def _integrate_segments(
         first_rule = None
         if not res.converged:
             raise NonConvergenceError(
-                f"{_label(what, p_watts)}: quadrature did not reach tolerance on segment "
+                "quadrature did not reach tolerance on segment "
                 f"[{a:.6g}, {b:.6g}] (error estimate {res.error_estimate:.3e} "
                 f"after {res.evaluations} evaluations)"
             )
@@ -137,20 +134,19 @@ def _integrate_segments(
 
 
 def _ber_average(
-    kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams,
-    tol: Tolerance | None, what: str,
+    kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams, tol: Tolerance | None
 ) -> float:
     """The kernel's BER integrand integrated over the whole v window."""
     c = _snr_scale(p_watts, link)
     f = weighted_log_gain_density(d, kernel, c, kernel.e_pos)
-    return _integrate_segments(f, _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE, what, p_watts)
+    return _integrate_segments(f, _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE)
 
 
 def ber_exact(
     p_watts: float, d: DerivedParams, link: LinkParams, tol: Tolerance | None = None
 ) -> float:
     """Exact average BER: the conditional BER integrated against the gain density."""
-    return _ber_average(EXACT_KERNEL, p_watts, d, link, tol, "exact BER")
+    return _ber_average(EXACT_KERNEL, p_watts, d, link, tol)
 
 
 def ber_approx_new(
@@ -163,7 +159,7 @@ def ber_approx_new(
     two branches agree (both equal 1), so the integrand is continuous across
     the split.
     """
-    return _ber_average(APPROX_KERNEL, p_watts, d, link, tol, "split-kernel BER")
+    return _ber_average(APPROX_KERNEL, p_watts, d, link, tol)
 
 
 def ber_approx_prev(
@@ -210,7 +206,6 @@ def ber_approx_prev(
     pts = _v_breakpoints(d, c, 0.0)
     if not pts:
         return 0.0
-    what = "legacy BER approximation"
     u0 = c * d.h_hat  # at most _U_CUTOFF: a larger u0 empties the window
     k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 else 0.0
     # the endpoint segment's first rule estimates its target, and stays its first rule
@@ -218,16 +213,15 @@ def ber_approx_prev(
     target = tol.target(first_rule[0])
     if k * POLE_ERROR > target:
         raise NonConvergenceError(
-            f"{_label(what, p_watts)}: the integrand is log-divergent at its lower endpoint; "
+            "the integrand is log-divergent at its lower endpoint; "
             f"its K/v term adds K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off and "
             f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
             f"target {target:.3e}"
         )
-    value = _integrate_segments(f, pts, tol, what, p_watts, first_rule)
+    value = _integrate_segments(f, pts, tol, first_rule)
     if value > 0.5:
         raise RegimeError(
-            f"{_label(what, p_watts)}: the result {value:.6g} is above 0.5 and so not a bit-error "
-            "probability; the legacy 1/u kernel exceeds erfc(u) at small u, where "
-            "this approximation does not hold"
+            f"the result {value:.6g} is above 0.5 and so not a bit-error probability; the "
+            "legacy 1/u kernel exceeds erfc(u) at small u, where this approximation does not hold"
         )
     return value

@@ -2,12 +2,14 @@
 
 Output files are written only after every computation has succeeded: both go
 to temp files in the target directory, with the mode open(path, "w") gives
-under the umask, before either is renamed into place. So a failing run leaves
-no partial artifacts behind, unless the second rename itself fails.
+under the umask, before either is renamed into place, and a target that is a
+directory fails the run before either is written. So a failing run leaves no
+partial artifacts behind, unless the second rename fails for another reason.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import dataclass
@@ -35,14 +37,11 @@ def _sci(x: float) -> str:
 
 
 def render_csv(curves: list[BerCurve]) -> str:
+    """The CSV of one or more curves over one grid."""
     by_method = {c.method: c for c in curves}
-    grids = [tuple(p.p_dbm for p in c.points) for c in curves]
-    if not grids:
-        return CSV_HEADER + "\n"
-    grid = grids[0]
     lines = [CSV_HEADER]
-    for i, p in enumerate(grid):
-        row = [_sci(p)]
+    for i, point in enumerate(curves[0].points):
+        row = [_sci(point.p_dbm)]
         for method in (BerMethod.EXACT, BerMethod.APPROX_NEW, BerMethod.APPROX_PREV):
             curve = by_method.get(method)
             row.append(_sci(curve.points[i].ber) if curve else "")
@@ -110,7 +109,11 @@ def render_report(
 
 def _write_atomic(outputs: dict[Path, str]) -> None:
     """Write every text to a temp file, then rename each onto its path; a
-    failure removes the temp files."""
+    failure removes the temp files. A path that is a directory is refused
+    before anything is written."""
+    for path in outputs:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     renames = []
     try:
         for path, text in outputs.items():

@@ -127,6 +127,33 @@ def test_sweep_annotation_keeps_the_exception(monkeypatch, links, deriveds, work
     assert "x = 0.25" in str(excinfo.value)
 
 
+def test_sweep_and_crossing_name_an_approx_prev_failure_once(links, deriveds):
+    # approx-prev's case1 integral diverges at -4 dBm, the sweep's first point
+    # and the crossing search's first probe; delta fails in the same crossing
+    link, d = links["case1"], deriveds["case1"]
+    calls = (
+        lambda: sweep([BerMethod.APPROX_PREV], (-4.0, 0.0, 2.0), d, link),
+        lambda: fec_crossing(BerMethod.APPROX_PREV, FEC, d, link),
+        lambda: delta(BerMethod.EXACT, BerMethod.APPROX_PREV, FEC, d, link),
+    )
+    for call in calls:
+        with pytest.raises(NonConvergenceError) as excinfo:
+            call()
+        message = str(excinfo.value)
+        assert message.startswith("approx-prev failed at P = -4 dBm: the integrand is "
+                                  "log-divergent at its lower endpoint; ")
+        assert message.count("dBm") == 1
+        assert message.count("approx-prev") == 1
+
+
+def test_sweep_reads_its_methods_once(links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    methods = [BerMethod.EXACT, BerMethod.APPROX_NEW]
+    from_list = sweep(methods, (-4, 16, 4), d, link)
+    assert [c.method for c in from_list] == methods
+    assert sweep((m for m in methods), (-4, 16, 4), d, link) == from_list
+
+
 def test_sweep_annotates_a_monte_carlo_power_that_underflows(links, deriveds):
     # -4000 dBm is 0.0 W in floating point; one mc_ber call decides the whole
     # grid, so the failure names the method, the grid's span and the power
@@ -277,6 +304,13 @@ def test_fec_crossing_near_low_power_end(links, deriveds):
 def test_fec_crossing_unreachable_threshold(links, deriveds):
     with pytest.raises(BracketError):
         fec_crossing(BerMethod.EXACT, 0.499, deriveds["case1"], links["case1"])
+
+
+def test_fec_crossing_threshold_below_every_ber_in_the_window(links, deriveds):
+    match = (r"^exact: BER\(30 dBm\) = \S+ never drops below threshold 1\.000e-300 "
+             r"up to 30 dBm$")
+    with pytest.raises(BracketError, match=match):
+        fec_crossing(BerMethod.EXACT, 1e-300, deriveds["case1"], links["case1"])
 
 
 def test_fec_crossing_rejects_mc_and_bad_threshold(links, deriveds):

@@ -19,6 +19,7 @@ from fso_ber import (
     dbm_to_watts,
     derive,
     mc_ber,
+    sweep,
 )
 from fso_ber.ber import BerMethod
 from fso_ber.channel import gain_of, log_gain_window
@@ -318,9 +319,12 @@ def test_approx_prev_above_half_raises_regime_error():
     # value, 198.39, is no probability: the legacy 1/u kernel exceeds erfc(u)
     # at small u. The check runs on the finished integral.
     link, d = _large_beta_link()
-    with pytest.raises(RegimeError, match=r"legacy BER approximation at -30\.000 dBm: "
-                                          r"the result 198\.39"):
+    with pytest.raises(RegimeError, match=r"^the result 198\.391 is above 0\.5"):
         ber_approx_prev(dbm_to_watts(-30.0), d, link)
+    # a sweep over that power names the method and the power once
+    with pytest.raises(RegimeError, match=r"^approx-prev failed at P = -30 dBm: "
+                                          r"the result 198\.391 is above 0\.5"):
+        sweep([BerMethod.APPROX_PREV], (-30.0, -26.0, 4.0), d, link)
 
 
 def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):

@@ -194,6 +194,52 @@ def test_cli_reports_failing_power_point(tmp_path, capsys):
     assert not (out / "curves.csv").exists()
 
 
+def test_cli_names_a_failing_crossing_probe(tmp_path, capsys):
+    # every sweep point evaluates; the crossing search's first probe, -4 dBm, fails
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", "--methods", "exact,approx-prev",
+                 "--sweep", "6:16:1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fso-ber: run failed: approx-prev failed at P = -4 dBm: "
+                          "the integrand is log-divergent at its lower endpoint; ")
+    assert err.count("dBm") == 1
+    assert not out.exists()
+
+
+def test_cli_run_with_no_crossing_in_the_search_window(tmp_path):
+    # exact never reaches 1e-300 up to 30 dBm, and the MC sweep never
+    # straddles it: the report lists no crossing and the run still succeeds
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", "--methods", "exact,mc", "--mc-trials", "1000",
+                 "--fec-threshold", "1e-300", "--sweep", "0:8:2", "--out", str(out)])
+    assert code == 0
+    report = (out / "report.txt").read_text()
+    assert "[FEC crossings at threshold 1.000e-300]\n\n" in report
+    assert "p_cross[" not in report
+    assert len((out / "curves.csv").read_text().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_a_report_path_that_is_a_directory_replaces_nothing(tmp_path, capsys, earlier_run):
+    out = tmp_path / "o"
+    out.mkdir()
+    if earlier_run:
+        assert main(["run", "--preset", "case1", "--methods", "exact",
+                     "--sweep", "0:4:2", "--out", str(out)]) == 0
+        (out / "report.txt").unlink()
+    old = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+    (out / "report.txt").mkdir()
+    code = main(["run", "--preset", "case1", "--methods", "exact,approx-new",
+                 "--sweep", "0:8:2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(out / "report.txt") in err
+    left = sorted((p.name, p.read_bytes()) for p in out.iterdir() if p.is_file())
+    assert left == old
+    assert [p.name for p in out.iterdir() if p.is_dir()] == ["report.txt"]
+
+
 def test_cli_bad_method_exit_code(capsys):
     code = main(["run", "--preset", "case1", "--methods", "nope"])
     assert code == 2

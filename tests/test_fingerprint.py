@@ -39,7 +39,7 @@ METHODS = (
 )
 
 # sha256 of the lines _outputs() yields, each followed by a newline
-FINGERPRINT = "15c4c1533f80f2b4c79776c0e3fca4438d62edaa0f88b793e1ed7e53fe3e5290"
+FINGERPRINT = "9906faa45523a07d94be36791aa0a09e81d846db2043f5d5d4d7f13877b01b7c"
 
 
 def _links():
