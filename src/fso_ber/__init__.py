@@ -11,7 +11,6 @@ from .channel import (
     derive,
     log_gain_pdf,
     pdf_h,
-    watts_to_dbm,
 )
 from .config import PRESETS, RunConfig
 from .errors import (
@@ -39,5 +38,5 @@ __all__ = [
     "ber_approx_new", "ber_approx_prev", "ber_conditional", "ber_exact",
     "dbm_to_watts", "delta", "derive", "erfc_approx", "fec_crossing",
     "integrate", "log_gain_pdf", "mc_ber", "pdf_h", "run",
-    "sample_h", "sweep", "watts_to_dbm", "wilson_interval",
+    "sample_h", "sweep", "wilson_interval",
 ]

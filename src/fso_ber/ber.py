@@ -43,6 +43,7 @@ from dataclasses import replace
 from .channel import (
     DerivedParams,
     LinkParams,
+    check_power,
     log_gain_window,
     weighted_log_gain_density,
 )
@@ -70,8 +71,7 @@ class BerMethod(enum.Enum):
 
 def _snr_scale(p_watts: float, link: LinkParams) -> float:
     """c such that u = c * h in the conditional BER."""
-    if not (p_watts > 0 and math.isfinite(p_watts)):
-        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
+    check_power(p_watts)
     return link.responsivity_a_per_w * p_watts / math.sqrt(2.0 * link.noise_std**2)
 
 

@@ -33,8 +33,10 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    return 10.0 * math.log10(p_watts) + 30.0
+def check_power(p_watts: float) -> None:
+    """Raise ValueError unless the transmit power ``p_watts`` is positive and finite."""
+    if not (p_watts > 0 and math.isfinite(p_watts)):
+        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,7 @@ class LinkParams:
 
     ``wavelength_nm`` is stored for configuration completeness only; no
     formula consumes it because turbulence strength enters directly through
-    ``rytov_variance``. Exactly one of ``pointing_std_m`` (displacement jitter
-    at the receiver) or ``jitter_angle_mrad`` (transmitter angle jitter, which
-    maps to displacement via the link length) must be given.
+    ``rytov_variance``.
     """
 
     wavelength_nm: float
@@ -56,8 +56,7 @@ class LinkParams:
     responsivity_a_per_w: float
     noise_std: float  # total noise standard deviation at the detector, A
     rytov_variance: float
-    pointing_std_m: float | None = None
-    jitter_angle_mrad: float | None = None
+    pointing_std_m: float  # pointing displacement standard deviation at the receiver, m
 
     def __post_init__(self):
         positive = {
@@ -67,6 +66,7 @@ class LinkParams:
             "beam_waist_m": self.beam_waist_m,
             "responsivity_a_per_w": self.responsivity_a_per_w,
             "noise_std": self.noise_std,
+            "pointing_std_m": self.pointing_std_m,
         }
         for name, value in positive.items():
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -78,20 +78,6 @@ class LinkParams:
                 f"rytov_variance = {self.rytov_variance!r} outside the weak-turbulence "
                 "regime (0, 1] this model covers"
             )
-        given = [x is not None for x in (self.pointing_std_m, self.jitter_angle_mrad)]
-        if sum(given) != 1:
-            raise ValueError("exactly one of pointing_std_m / jitter_angle_mrad must be set")
-        sigma_s = self.sigma_s_m
-        if not (math.isfinite(sigma_s) and sigma_s > 0):
-            raise ValueError(f"pointing displacement must be positive, got {sigma_s!r}")
-
-    @property
-    def sigma_s_m(self) -> float:
-        """Pointing displacement standard deviation at the receiver, meters."""
-        if self.pointing_std_m is not None:
-            return self.pointing_std_m
-        # mrad * km = 1e-3 rad * 1e3 m = m
-        return self.jitter_angle_mrad * self.link_length_km
 
 
 @dataclass(frozen=True)
@@ -142,7 +128,7 @@ def derive(params: LinkParams) -> DerivedParams:
         params.beam_waist_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
     )
     omega_z_eq = math.sqrt(omega_z_eq_sq)
-    gamma = omega_z_eq / (2.0 * params.sigma_s_m)
+    gamma = omega_z_eq / (2.0 * params.pointing_std_m)
     gamma_sq = gamma * gamma
     sigma_x_sq = params.rytov_variance / 4.0
     mu = 2.0 * sigma_x_sq * (1.0 + 2.0 * gamma_sq)

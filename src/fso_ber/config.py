@@ -8,7 +8,7 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .analysis import power_grid
 from .ber import BerMethod
@@ -36,8 +36,8 @@ PRESETS = {
     "case3": dict(_COMMON, pointing_std_m=0.2, rytov_variance=0.9),
 }
 
-# every LinkParams field is a config key; it is required when it has no default
-_LINK_KEYS = {f.name: f.default is MISSING for f in fields(LinkParams)}
+# every LinkParams field is a required config key
+_LINK_KEYS = tuple(f.name for f in fields(LinkParams))
 
 
 @dataclass(frozen=True)
@@ -143,18 +143,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         except ValueError as exc:
             problems.append(f"{origin}: field {key!r}: {exc}")
 
-    missing = [key for key, required in _LINK_KEYS.items() if required and key not in link_kwargs]
-    link_complete = not missing
+    missing = [key for key in _LINK_KEYS if key not in link_kwargs]
     if missing:
         problems.append(f"{origin}: missing required link fields: {', '.join(missing)}")
-    if "pointing_std_m" not in link_kwargs and "jitter_angle_mrad" not in link_kwargs:
-        problems.append(f"{origin}: one of pointing_std_m / jitter_angle_mrad is required")
-        link_complete = False
 
     # validate the link and the run fields even when other fields are broken,
     # so every problem surfaces in one pass
     link = None
-    if link_complete:
+    if not missing:
         try:
             link = LinkParams(**link_kwargs)
         except ValueError as exc:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedParams, LinkParams
+from .channel import DerivedParams, LinkParams, check_power
 
 # fixed sub-batch size; part of the determinism contract. The buffers of one
 # thread (two float batches and one bool batch, about 0.85 MB) fit in a core's
@@ -210,8 +210,7 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
 
 def _threshold(p_watts: float, link: LinkParams) -> float:
     """The threshold snr = R P / sigma_n that a trial's n / h must exceed to err."""
-    if not (p_watts > 0 and math.isfinite(p_watts)):
-        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
+    check_power(p_watts)
     return link.responsivity_a_per_w * p_watts / link.noise_std
 
 

@@ -77,8 +77,9 @@ def render_report(
     lines = ["fso-ber run report", ""]
     lines.append("[configuration]")
     lines.append(f"methods = {','.join(m.value for m in config.methods)}")
-    lo, hi, step = config.sweep
-    lines.append(f"sweep_dbm = {lo:g}:{hi:g}:{step:g}")
+    # repr round-trips through config.parse_sweep, so this is the sweep that ran
+    sweep_dbm = ":".join(repr(float(x)).removesuffix(".0") for x in config.sweep)
+    lines.append(f"sweep_dbm = {sweep_dbm}")
     lines.append(f"fec_threshold = {config.fec_threshold:.9e}")
     lines.append(f"seed = {config.seed}")
     if BerMethod.MONTE_CARLO in config.methods:

@@ -386,18 +386,6 @@ def test_ber_invariant_under_joint_power_and_noise_scaling(
                         BER_FN[method](p, derive(link), link), rel_tol=1e-9)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(method=METHODS, **LINK_DOMAIN)
-def test_jitter_angle_matches_pointing_displacement(method, p_dbm, log_pointing, log_rytov):
-    link = _domain_link(log_pointing, log_rytov)
-    # mrad * km = m, so this angle gives the same displacement at the receiver
-    angular = replace(link, pointing_std_m=None,
-                      jitter_angle_mrad=link.pointing_std_m / link.link_length_km)
-    p = dbm_to_watts(p_dbm)
-    assert math.isclose(BER_FN[method](p, derive(angular), angular),
-                        BER_FN[method](p, derive(link), link), rel_tol=1e-9)
-
-
 def test_analytic_path_returns_python_floats(links, deriveds):
     # numpy.float64 subclasses float, so isinstance would not tell them apart
     link, d = links["case2"], deriveds["case2"]

@@ -17,7 +17,6 @@ from fso_ber import (
     log_gain_pdf,
     pdf_h,
     sample_h,
-    watts_to_dbm,
 )
 from fso_ber.channel import DerivedParams, gain_of, log_gain_of, log_gain_window
 from fso_ber.montecarlo import draw_gains
@@ -73,16 +72,6 @@ def test_derive_scale_consistency(links):
     assert d2.omega_z_eq_m == pytest.approx(2.0 * d1.omega_z_eq_m, rel=1e-12)
 
 
-def test_jitter_angle_maps_through_link_length():
-    params = LinkParams(**{k: v for k, v in PRESETS["case1"].items() if k != "pointing_std_m"},
-                        jitter_angle_mrad=0.116)
-    assert params.sigma_s_m == pytest.approx(0.348, rel=1e-12)
-    d = derive(params)
-    direct = derive(LinkParams(**{**{k: v for k, v in PRESETS["case1"].items()
-                                     if k != "pointing_std_m"}, "pointing_std_m": 0.348}))
-    assert d.gamma == pytest.approx(direct.gamma, rel=1e-14)
-
-
 def test_regime_rejection():
     with pytest.raises(RegimeError, match="weak-turbulence"):
         LinkParams(**{**PRESETS["case1"], "rytov_variance": 1.5})
@@ -94,11 +83,10 @@ def test_geometry_rejection():
         derive(params)
 
 
-def test_pointing_spec_exclusive():
-    with pytest.raises(ValueError):
-        LinkParams(**{**PRESETS["case1"], "jitter_angle_mrad": 0.1})
-    with pytest.raises(ValueError):
-        LinkParams(**{k: v for k, v in PRESETS["case1"].items() if k != "pointing_std_m"})
+def test_pointing_std_must_be_positive_and_finite():
+    for pointing_std_m in (None, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="pointing_std_m"):
+            LinkParams(**{**PRESETS["case1"], "pointing_std_m": pointing_std_m})
 
 
 def test_pdf_zero_outside_support(deriveds):
@@ -167,7 +155,6 @@ def test_log_gain_mapping_roundtrip(deriveds):
 def test_unit_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-14)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-14)
-    assert watts_to_dbm(dbm_to_watts(7.3)) == pytest.approx(7.3, abs=1e-12)
 
 
 def test_sampling_deterministic(deriveds):

@@ -7,7 +7,7 @@ import pytest
 from fso_ber import RunConfig, derive, runner
 from fso_ber.ber import BerMethod
 from fso_ber.cli import main
-from fso_ber.config import preset_config
+from fso_ber.config import parse_sweep, preset_config
 from fso_ber.runner import CSV_HEADER, run
 
 FAST = dict(sweep=(-4.0, 16.0, 2.0), methods=(BerMethod.EXACT, BerMethod.APPROX_NEW))
@@ -61,6 +61,16 @@ def test_report_derived_params_exact(tmp_path):
     assert float(report["mu"]) == d.mu
     assert float(report["h_hat"]) == d.h_hat
     assert float(report["sigma_X_sq"]) == d.sigma_x_sq
+
+
+@pytest.mark.parametrize("text", ("-4:16:0.5", "0:1:0.3333333", "-3.25:7.1:0.05",
+                                  "1e-05:0.0001:1.5e-05", "-0.1:0.2:0.1"))
+def test_report_echoes_the_sweep_that_ran(text):
+    config = RunConfig(link=preset_config("case1").link, sweep=parse_sweep(text))
+    report = runner.render_report(config, derive(config.link), {}, None, {})
+    (echo,) = [line for line in report.splitlines() if line.startswith("sweep_dbm = ")]
+    assert echo == f"sweep_dbm = {text}"
+    assert parse_sweep(echo.removeprefix("sweep_dbm = ")) == config.sweep
 
 
 def test_report_lists_crossings_and_deltas(tmp_path):
@@ -179,9 +189,25 @@ def test_cli_reports_file_and_override_problems_in_one_pass(tmp_path, capsys, mo
     assert code == 2
     err = capsys.readouterr().err
     assert "missing required link fields" in err
-    assert "one of pointing_std_m / jitter_angle_mrad is required" in err
+    assert "rytov_variance, pointing_std_m" in err
     assert "mc_trials: must be >= 1 (got 0)" in err
     assert "mc_trials: invalid literal for int() with base 10: 'abc'" in err
+    assert not out.exists()
+
+
+def test_cli_names_a_jitter_angle_line_an_unknown_key(tmp_path, capsys):
+    # the pointing jitter is given as a displacement only:
+    # pointing_std_m = jitter_angle_mrad * link_length_km
+    link = {k: v for k, v in preset_config("case1").link.__dict__.items() if k != "pointing_std_m"}
+    path = tmp_path / "angle.cfg"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in link.items())
+                    + "jitter_angle_mrad = 0.116\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'jitter_angle_mrad'" in err
+    assert "missing required link fields: pointing_std_m" in err
     assert not out.exists()
 
 
@@ -299,7 +325,7 @@ def test_cli_overrides_parse_like_config_keys(option, value, field, tmp_path, ca
 def test_config_file_named_like_a_preset_is_read_as_a_file(tmp_path, monkeypatch):
     link = dict(preset_config("case1").link.__dict__, pointing_std_m=0.1, rytov_variance=0.3)
     (tmp_path / "case1").write_text("".join(
-        f"{key} = {value!r}\n" for key, value in link.items() if value is not None))
+        f"{key} = {value!r}\n" for key, value in link.items()))
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--config", "case1", "--methods", "exact", "--sweep", "-4:16:4",
                  "--out", "o"])

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from fso_ber import (
     PRESETS,
+    BerMethod,
     LinkParams,
     NonConvergenceError,
     RegimeError,
@@ -33,16 +34,25 @@ from fso_ber import (
     ber_approx_prev,
     ber_exact,
     dbm_to_watts,
+    delta,
     derive,
+    erfc_approx,
+    fec_crossing,
     integrate,
     log_gain_pdf,
 )
 from fso_ber import ber as ber_module
+from fso_ber.analysis import _RESOLUTION_DB, power_grid
 from fso_ber.channel import log_gain_of, log_gain_window
+from fso_ber.config import DEFAULT_FEC_THRESHOLD, DEFAULT_SWEEP
 
 POINTING_M = (1e-3, 1e-2, 1e-1, 1.0)
 RYTOV = (1e-6, 0.1, 0.5, 1.0)
 P_DBM = (-10.0, 0.0, 10.0)
+# a wider 5 x 5 x 9 grid, checked against properties rather than a reference
+GRID_POINTING_M = (1e-3, 1e-2, 0.1, 1.0, 3.0)
+GRID_RYTOV = (1e-6, 1e-3, 0.1, 0.5, 1.0)
+GRID_P_DBM = range(-80, 81, 20)
 
 _DEPTH = 70.0  # log f is integrated down to exp(-70) of its maximum
 _STEP = 10.0
@@ -212,8 +222,8 @@ def test_ber_is_non_increasing_in_power(log_pointing, log_rytov, p1_dbm, p2_dbm,
     assert at_high <= at_low + max(_REL_TOL * at_low, _ABS_TOL)
 
 
-@pytest.mark.parametrize("rytov", (1e-6, 1e-3, 0.1, 0.5, 1.0))
-@pytest.mark.parametrize("pointing_m", (1e-3, 1e-2, 0.1, 1.0, 3.0))
+@pytest.mark.parametrize("rytov", GRID_RYTOV)
+@pytest.mark.parametrize("pointing_m", GRID_POINTING_M)
 def test_every_ber_is_a_finite_number_or_a_documented_refusal(pointing_m, rytov):
     # the BER integrand checks no range of its own; it relies on every node of
     # every window keeping u finite, the density positive and approx-prev's
@@ -221,7 +231,7 @@ def test_every_ber_is_a_finite_number_or_a_documented_refusal(pointing_m, rytov)
     # ZeroDivisionError or OverflowError
     link = _link(pointing_m, rytov)
     d = derive(link)
-    for p_dbm in range(-80, 81, 20):
+    for p_dbm in GRID_P_DBM:
         p = dbm_to_watts(p_dbm)
         for method in (ber_exact, ber_approx_new):
             value = method(p, d, link)
@@ -295,3 +305,89 @@ def test_power_with_empty_window_has_zero_ber(method, monkeypatch):
     assert log_gain_of(40.0 / c, d) < log_gain_window(d)[0]
     monkeypatch.setattr(ber_module, "integrate", None)  # nothing is integrated
     assert method(p, d, link) == 0.0
+
+
+# approx-new is exact's integrand with erfc_approx E in place of erfc in both
+# factors, E(u) and E(v). u = c h(v) is never negative, so E(u) / erfc(u) lies
+# in [POS_MIN, POS_MAX]; v takes either sign. So at every link and power, and
+# over the same window, approx-new / exact lies in [RATIO_LOW, RATIO_HIGH]:
+# the package's quantitative form of the paper's "accurately predicts the
+# true BER". The extremes of E / erfc, found at 30 digits and rounded
+# outwards to 8:
+POS_MIN = 1.0  # at z = 0, where E = erfc = 1; the ratio tends to 1 as z -> inf
+POS_MAX = 1.0582772  # at z = 0.634357
+NEG_MIN = 0.99544947  # at z = -1.673876; the ratio tends to 1 as z -> -inf
+NEG_MAX = 1.0307598  # at z = -0.412955
+RATIO_LOW = POS_MIN * min(POS_MIN, NEG_MIN)  # 0.99545
+RATIO_HIGH = POS_MAX * max(POS_MAX, NEG_MAX)  # 1.11995
+
+
+def test_erfc_approx_ratio_extremes_are_pinned():
+    with mp.workdps(30):
+        def ratio(z):
+            return _erfc_approx_mp(z) / mp.erfc(z)
+
+        # a scan of [-8, 8] by 0.01, with the far tails at +-8 * 2^k, then a
+        # golden-section search in mpmath around each extreme the scan finds
+        pos = [mp.mpf(k) / 100 for k in range(801)] + [8 * mp.mpf(2) ** k for k in range(1, 11)]
+        neg = [-z for z in pos[1:]]
+        derived = {}
+        for name, zs, sign in (("pos_min", pos, -1), ("pos_max", pos, 1),
+                               ("neg_min", neg, -1), ("neg_max", neg, 1)):
+            values = [sign * ratio(z) for z in zs]
+            i = values.index(max(values))
+            if 0 < i < 800:
+                z = _argmax(lambda z: sign * ratio(z), *sorted((zs[i - 1], zs[i + 1])))
+            else:
+                z = zs[i]
+            derived[name] = (float(z), ratio(z))
+    assert derived["pos_min"] == (0.0, 1)
+    pos_max_z, pos_max = derived["pos_max"]
+    neg_min_z, neg_min = derived["neg_min"]
+    neg_max_z, neg_max = derived["neg_max"]
+    assert POS_MAX - 1e-7 < pos_max <= POS_MAX and pos_max_z == pytest.approx(0.634357, abs=1e-6)
+    assert NEG_MIN <= neg_min < NEG_MIN + 1e-8 and neg_min_z == pytest.approx(-1.673876, abs=1e-6)
+    assert NEG_MAX - 1e-7 < neg_max <= NEG_MAX and neg_max_z == pytest.approx(-0.412955, abs=1e-6)
+    # the package's float erfc_approx is the formula the extremes were found on
+    for z, value in derived.values():
+        assert erfc_approx(z) / math.erfc(z) == pytest.approx(float(value), rel=1e-14)
+
+
+def _assert_ratio_bound(link, powers_dbm):
+    d = derive(link)
+    for p_dbm in powers_dbm:
+        p = dbm_to_watts(p_dbm)
+        exact, approx = ber_exact(p, d, link), ber_approx_new(p, d, link)
+        # each value is within max(_REL_TOL |value|, _ABS_TOL) of its integral
+        slack = max(_REL_TOL * approx, _ABS_TOL) + RATIO_HIGH * max(_REL_TOL * exact, _ABS_TOL)
+        assert RATIO_LOW * exact - slack <= approx <= RATIO_HIGH * exact + slack, p_dbm
+
+
+@pytest.mark.parametrize("rytov", GRID_RYTOV)
+@pytest.mark.parametrize("pointing_m", GRID_POINTING_M)
+def test_approx_new_within_a_fixed_factor_of_exact(pointing_m, rytov):
+    _assert_ratio_bound(_link(pointing_m, rytov), GRID_P_DBM)
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+def test_approx_new_within_a_fixed_factor_of_exact_on_the_presets(case):
+    _assert_ratio_bound(LinkParams(**PRESETS[case]), power_grid(*DEFAULT_SWEEP))
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+def test_fec_gap_within_the_ratio_bound(case):
+    # BER falls with power, so approx-new reaches t where exact reaches a
+    # value in [t / RATIO_HIGH, t / RATIO_LOW]. At 3.84e-3 the gap bounds are
+    # [-0.0040, +0.0989] dB for case1, [-0.0063, +0.1556] for case2 and
+    # [-0.0079, +0.1959] for case3. Each crossing lies within half the
+    # resolution of its root, and each side below compares two crossings.
+    link = LinkParams(**PRESETS[case])
+    d = derive(link)
+    t = DEFAULT_FEC_THRESHOLD
+
+    def p_exact(threshold):
+        return fec_crossing(BerMethod.EXACT, threshold, d, link).p_cross_dbm
+
+    gap = delta(BerMethod.EXACT, BerMethod.APPROX_NEW, t, d, link)
+    assert gap >= p_exact(t / RATIO_LOW) - p_exact(t) - _RESOLUTION_DB
+    assert gap <= p_exact(t / RATIO_HIGH) - p_exact(t) + _RESOLUTION_DB
