@@ -10,8 +10,9 @@ Four routes to the same quantity:
 * ``ber_approx_prev``  -- the simpler legacy single integral that uses the
   positive-branch asymptotic for both factors from h_hat upward. Its printed
   integrand carries 1/(ln(h/(A0 h_l)) + mu), which blows up logarithmically at
-  the lower endpoint; evaluation raises when that contribution prevents the
-  requested tolerance from being met.
+  the lower endpoint; where that term keeps the quadrature from its tolerance,
+  the quadrature's stall stop ends the refinement and evaluation raises,
+  naming the term.
 
 All averages are computed in the normalized log-gain variable v (see
 :mod:`fso_ber.channel`), an exact change of variables under which the split
@@ -48,7 +49,7 @@ from .channel import (
     weighted_log_gain_density,
 )
 from .errors import NonConvergenceError, RegimeError
-from .quadrature import DEFAULT_TOLERANCE, POLE_ERROR, Tolerance, _rule, integrate
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
 from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel
 
 _LN2 = math.log(2.0)
@@ -114,15 +115,11 @@ def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list
     return pts
 
 
-def _integrate_segments(
-    f, pts: list[float], tol: Tolerance, first_rule: tuple[float, float] | None = None
-) -> float:
-    """The sum of the integrals over consecutive segments of ``pts``; ``first_rule``
-    is the rule already applied to the first segment, if any."""
+def _integrate_segments(f, pts: list[float], tol: Tolerance) -> float:
+    """The sum of the integrals over consecutive segments of ``pts``."""
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        res = integrate(f, a, b, tol, first_rule)
-        first_rule = None
+        res = integrate(f, a, b, tol)
         if not res.converged:
             raise NonConvergenceError(
                 "quadrature did not reach tolerance on segment "
@@ -134,12 +131,13 @@ def _integrate_segments(
 
 
 def _ber_average(
-    kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams, tol: Tolerance | None
+    kernel: Kernel, p_watts: float, d: DerivedParams, link: LinkParams, tol: Tolerance | None,
+    start: float = -math.inf,
 ) -> float:
-    """The kernel's BER integrand integrated over the whole v window."""
+    """The kernel's BER integrand integrated over the v window from ``start`` on."""
     c = _snr_scale(p_watts, link)
     f = weighted_log_gain_density(d, kernel, c, kernel.e_pos)
-    return _integrate_segments(f, _v_breakpoints(d, c), tol or DEFAULT_TOLERANCE)
+    return _integrate_segments(f, _v_breakpoints(d, c, start), tol or DEFAULT_TOLERANCE)
 
 
 def ber_exact(
@@ -177,11 +175,13 @@ def ber_approx_prev(
     endpoint it behaves as K / v with K = (beta / (4 pi)) exp(-beta^2/4 - u0^2)
     / u0 and u0 = c h_hat, so the integral diverges logarithmically: each
     halving of a lower cut-off adds K ln 2. The quadrature's error estimate on
-    an endpoint interval of K / v is POLE_ERROR * K (about 11.8 K ln 2) however
-    narrow the interval, so when that exceeds the tolerance target of the
-    endpoint segment, estimated by one rule, this raises
-    :class:`NonConvergenceError` without refining. Regimes with beta^2/4 or
-    u0^2 large suppress K and converge cleanly.
+    an endpoint interval of K / v is about 11.8 K ln 2 however narrow the
+    interval, so where that exceeds the tolerance target, bisection toward
+    v = 0 adds error instead of removing it, and the quadrature's stall stop
+    (see :func:`fso_ber.quadrature.integrate`) ends it within a few dozen
+    rules. The resulting :class:`NonConvergenceError` names K ln 2 first,
+    then the segment, error estimate and evaluation count. Regimes with
+    beta^2/4 or u0^2 large suppress K and converge cleanly.
 
     The integral starts at max(0, lo), lo being the lower end of
     :func:`fso_ber.channel.log_gain_window`. For beta >= 2 sqrt(120) that is
@@ -195,30 +195,22 @@ def ber_approx_prev(
     integral above 0.5; such a result raises :class:`RegimeError` instead of
     being returned as a BER.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    c = _snr_scale(p_watts, link)
     b = d.beta
     prefactor = b / (4.0 * math.pi)
     # abs_tol bounds the integral without its prefactor, as the printed form has it
+    tol = tol or DEFAULT_TOLERANCE
     tol = replace(tol, abs_tol=tol.abs_tol * prefactor)
-    f = weighted_log_gain_density(d, ASYMPTOTIC_KERNEL, c, ASYMPTOTIC_KERNEL.e_pos)
-
-    pts = _v_breakpoints(d, c, 0.0)
-    if not pts:
-        return 0.0
-    u0 = c * d.h_hat  # at most _U_CUTOFF: a larger u0 empties the window
-    k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 else 0.0
-    # the endpoint segment's first rule estimates its target, and stays its first rule
-    first_rule = _rule(f, pts[0], pts[1])
-    target = tol.target(first_rule[0])
-    if k * POLE_ERROR > target:
+    try:
+        value = _ber_average(ASYMPTOTIC_KERNEL, p_watts, d, link, tol, 0.0)
+    except NonConvergenceError as exc:
+        if log_gain_window(d)[0] > 0.0:
+            raise
+        u0 = _snr_scale(p_watts, link) * d.h_hat
+        k = prefactor * math.exp(-0.25 * b * b - u0 * u0) / u0 if 0.0 < u0 else 0.0
         raise NonConvergenceError(
-            "the integrand is log-divergent at its lower endpoint; "
-            f"its K/v term adds K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off and "
-            f"holds the error estimate at {k * POLE_ERROR:.3e}, above the tolerance "
-            f"target {target:.3e}"
-        )
-    value = _integrate_segments(f, pts, tol, first_rule)
+            "the integrand is log-divergent at its lower endpoint; its K/v term adds "
+            f"K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off; {exc}"
+        ) from None
     if value > 0.5:
         raise RegimeError(
             f"the result {value:.6g} is above 0.5 and so not a bit-error probability; the "

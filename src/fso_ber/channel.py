@@ -19,7 +19,8 @@ huge prefactors of the direct gain-space expression cancel analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 from .errors import GeometryError, RegimeError
 from .special import EXACT_KERNEL, Kernel
@@ -59,25 +60,22 @@ class LinkParams:
     pointing_std_m: float  # pointing displacement standard deviation at the receiver, m
 
     def __post_init__(self):
-        positive = {
-            "wavelength_nm": self.wavelength_nm,
-            "link_length_km": self.link_length_km,
-            "aperture_radius_m": self.aperture_radius_m,
-            "beam_waist_m": self.beam_waist_m,
-            "responsivity_a_per_w": self.responsivity_a_per_w,
-            "noise_std": self.noise_std,
-            "pointing_std_m": self.pointing_std_m,
-        }
-        for name, value in positive.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            # numpy's scalars are numbers.Real; bool is one too, but no length or rate
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name == "rytov_variance":
+                if not 0.0 < value <= 1.0:
+                    raise RegimeError(
+                        f"rytov_variance = {value!r} outside the weak-turbulence "
+                        "regime (0, 1] this model covers"
+                    )
+            elif name == "attenuation_db_per_km":
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            elif not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not (math.isfinite(self.attenuation_db_per_km) and self.attenuation_db_per_km >= 0):
-            raise ValueError(f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km!r}")
-        if not (0.0 < self.rytov_variance <= 1.0):
-            raise RegimeError(
-                f"rytov_variance = {self.rytov_variance!r} outside the weak-turbulence "
-                "regime (0, 1] this model covers"
-            )
 
 
 @dataclass(frozen=True)

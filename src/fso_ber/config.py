@@ -8,6 +8,7 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 from .analysis import power_grid
@@ -62,14 +63,18 @@ class RunConfig:
             problems.append(str(exc))
         if not self.methods:
             problems.append("methods: at least one method required")
-        if self.mc_trials < 1:
-            problems.append(f"mc_trials: must be >= 1 (got {self.mc_trials!r})")
-        if not (0.0 < self.fec_threshold < 0.5):
-            problems.append(f"fec_threshold: must be in (0, 0.5) (got {self.fec_threshold!r})")
-        if self.seed < 0:
-            problems.append(f"seed: must be >= 0 (got {self.seed!r})")
-        if self.workers < 1:
-            problems.append(f"workers: must be >= 1 (got {self.workers!r})")
+        # numpy's scalars are numbers too; bool is one, but no count or threshold
+        for name, lowest in (("mc_trials", 1), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                problems.append(f"{name}: must be an integer (got {value!r})")
+            elif value < lowest:
+                problems.append(f"{name}: must be >= {lowest} (got {value!r})")
+        threshold = self.fec_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+            problems.append(f"fec_threshold: must be a number (got {threshold!r})")
+        elif not (0.0 < threshold < 0.5):
+            problems.append(f"fec_threshold: must be in (0, 0.5) (got {threshold!r})")
         if not self.output_path:
             problems.append("output_path: must be non-empty")
         if problems:

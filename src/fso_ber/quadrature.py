@@ -181,15 +181,8 @@ def _raise_first_nonfinite(center: float, half: float, values: tuple) -> None:
 
 DEFAULT_TOLERANCE = Tolerance()
 
-# The rule's error estimate on [0, w] for 1/x, the same for every width w: the
-# floor that bisection toward a K/x endpoint pole cannot push below K * POLE_ERROR.
-POLE_ERROR = _rule(lambda x: 1.0 / x, 0.0, 1.0)[1]
 
-
-def integrate(
-    f, a: float, b: float, tol: Tolerance | None = None,
-    first_rule: tuple[float, float] | None = None,
-) -> QuadratureResult:
+def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> QuadratureResult:
     """Integrate ``f`` over the finite interval [a, b].
 
     Subdivision stops once the summed error estimate satisfies
@@ -197,16 +190,16 @@ def integrate(
     ``converged=False`` when the evaluation budget runs out or when bisection
     stops reducing the error: after the first ``_GROWING_AFTER`` bisections,
     ``_GROWING_LIMIT`` bisections whose two halves' summed error exceeds the
-    error of the interval they split (QUADPACK dqage's ``iroff2`` test; a
-    non-integrable endpoint pole K/x keeps its error at K * POLE_ERROR on every
-    halving). The partial value and its estimate are still returned so the
-    caller can decide. Finiteness is checked once per rule: a non-finite
-    integrand value raises :class:`~fso_ber.errors.IntegrandError` naming the
-    first non-finite abscissa in the rule's evaluation order.
-
-    A caller that has already applied the rule to the whole of [a, b] passes
-    its ``(value, error)`` as ``first_rule``; integration starts from it, and
-    its 15 evaluations count towards ``evaluations`` and the budget.
+    error of the interval they split (QUADPACK dqage's ``iroff2`` test). That
+    stall stop ends work on a non-integrable endpoint pole K/x: the rule's
+    error estimate on [0, w] is about 8.16 K for every width w, so halving
+    the endpoint interval adds error instead of removing it. 1/x on [0, 1]
+    stops after 1 + 2 * (_GROWING_AFTER + _GROWING_LIMIT) = 61 rules; a pole
+    beside other error takes a few more. The partial value and its estimate
+    are still returned so the caller can decide. Finiteness is checked once
+    per rule: a non-finite integrand value raises
+    :class:`~fso_ber.errors.IntegrandError` naming the first non-finite
+    abscissa in the rule's evaluation order.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
@@ -215,7 +208,7 @@ def integrate(
     if not a < b:
         raise ValueError(f"integration requires a < b (got {a!r}, {b!r})")
 
-    value, err = _rule(f, a, b) if first_rule is None else first_rule
+    value, err = _rule(f, a, b)
     evaluations = 15
     # heap entries: (-error, tie_breaker, a, b, value, error)
     counter = 0

@@ -77,10 +77,12 @@ def render_report(
     lines = ["fso-ber run report", ""]
     lines.append("[configuration]")
     lines.append(f"methods = {','.join(m.value for m in config.methods)}")
-    # repr round-trips through config.parse_sweep, so this is the sweep that ran
-    sweep_dbm = ":".join(repr(float(x)).removesuffix(".0") for x in config.sweep)
-    lines.append(f"sweep_dbm = {sweep_dbm}")
-    lines.append(f"fec_threshold = {config.fec_threshold:.9e}")
+    # repr round-trips through the config parsers, so these are the values that ran
+    def echo(x: float) -> str:
+        return repr(float(x)).removesuffix(".0")
+
+    lines.append(f"sweep_dbm = {':'.join(map(echo, config.sweep))}")
+    lines.append(f"fec_threshold = {echo(config.fec_threshold)}")
     lines.append(f"seed = {config.seed}")
     if BerMethod.MONTE_CARLO in config.methods:
         lines.append(f"mc_trials = {config.mc_trials}")
@@ -93,7 +95,7 @@ def render_report(
     lines.append(f"h_hat = {d.h_hat:.17g}")
     lines.append(f"sigma_X_sq = {d.sigma_x_sq:.17g}")
     lines.append("")
-    lines.append(f"[FEC crossings at threshold {config.fec_threshold:.3e}]")
+    lines.append(f"[FEC crossings at threshold {echo(config.fec_threshold)}]")
     for method, report in crossings.items():
         lines.append(f"p_cross[{method.value}] = {report.p_cross_dbm:.4f} dBm")
     if mc_cross_dbm is not None:

@@ -206,7 +206,7 @@ def test_approx_prev_endpoint_divergence_raises(links, deriveds):
 
 
 def test_approx_prev_endpoint_raise_is_cheap(links, deriveds, monkeypatch):
-    from fso_ber import ber as ber_module, quadrature
+    from fso_ber import quadrature
 
     link, d = links["case1"], deriveds["case1"]
     rules = [0]
@@ -217,7 +217,6 @@ def test_approx_prev_endpoint_raise_is_cheap(links, deriveds, monkeypatch):
         return rule(*args)
 
     monkeypatch.setattr(quadrature, "_rule", counting)
-    monkeypatch.setattr(ber_module, "_rule", counting)  # the endpoint check's rule
     with pytest.raises(NonConvergenceError, match="K ln 2"):
         ber_approx_prev(dbm_to_watts(0.0), d, link)
     assert rules[0] <= 100
@@ -328,10 +327,10 @@ def test_approx_prev_above_half_raises_regime_error():
 
 
 def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
-    # a link past the K check whose endpoint segment still refines toward a pole:
-    # bisection stops once the error keeps growing, long before the abscissa
-    # reaches the subnormal range where the integrand overflows
-    from fso_ber import ber as ber_module, quadrature
+    # a link whose endpoint segment refines toward a pole: bisection stops once
+    # the error keeps growing, long before the abscissa reaches the subnormal
+    # range where the integrand overflows
+    from fso_ber import quadrature
 
     link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.235, "rytov_variance": 0.26})
     d = derive(link)
@@ -343,7 +342,6 @@ def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
         return rule(*args)
 
     monkeypatch.setattr(quadrature, "_rule", counting)
-    monkeypatch.setattr(ber_module, "_rule", counting)  # the endpoint check's rule
     with pytest.raises(NonConvergenceError, match=r"segment \[0, "):
         ber_approx_prev(dbm_to_watts(-2.0), d, link)
     assert rules[0] <= 100

@@ -84,9 +84,21 @@ def test_geometry_rejection():
 
 
 def test_pointing_std_must_be_positive_and_finite():
-    for pointing_std_m in (None, 0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="pointing_std_m"):
-            LinkParams(**{**PRESETS["case1"], "pointing_std_m": pointing_std_m})
+    # and so must every other field, with 0 allowed for attenuation alone and
+    # rytov_variance held to (0, 1]; the error names the field
+    for name in PRESETS["case1"]:
+        out_of_range = (-1.0, 1.5) if name == "rytov_variance" else (-1.0,)
+        zero = () if name == "attenuation_db_per_km" else (0.0, 0)
+        for value in (None, "0.1", True, False, math.nan, math.inf, -math.inf,
+                      *out_of_range, *zero):
+            with pytest.raises(ValueError, match=name):
+                LinkParams(**{**PRESETS["case1"], name: value})
+        # numpy scalars and ints are numbers
+        for value in (np.float64(PRESETS["case1"][name]), 1):
+            LinkParams(**{**PRESETS["case1"], name: value})
+    with pytest.raises(RegimeError, match=r"^rytov_variance = 0 outside the weak-turbulence"):
+        LinkParams(**{**PRESETS["case1"], "rytov_variance": 0})
+    LinkParams(**{**PRESETS["case1"], "attenuation_db_per_km": 0.0})
 
 
 def test_pdf_zero_outside_support(deriveds):

@@ -73,6 +73,14 @@ def test_report_echoes_the_sweep_that_ran(text):
     assert parse_sweep(echo.removeprefix("sweep_dbm = ")) == config.sweep
 
 
+@pytest.mark.parametrize("text", ("0.00384", "0.00384000000001", "1e-300", "0.1"))
+def test_report_echoes_the_threshold_that_ran(text):
+    config = RunConfig(link=preset_config("case1").link, fec_threshold=float(text))
+    report = runner.render_report(config, derive(config.link), {}, None, {})
+    assert f"\nfec_threshold = {text}\n" in report
+    assert f"\n[FEC crossings at threshold {text}]\n" in report
+
+
 def test_report_lists_crossings_and_deltas(tmp_path):
     artifacts = run(_fast_config(tmp_path / "a"))
     text = artifacts.report_path.read_text()
@@ -241,7 +249,7 @@ def test_cli_run_with_no_crossing_in_the_search_window(tmp_path):
                  "--fec-threshold", "1e-300", "--sweep", "0:8:2", "--out", str(out)])
     assert code == 0
     report = (out / "report.txt").read_text()
-    assert "[FEC crossings at threshold 1.000e-300]\n\n" in report
+    assert "[FEC crossings at threshold 1e-300]\n\n" in report
     assert "p_cross[" not in report
     assert len((out / "curves.csv").read_text().splitlines()) == 1 + 5
 
@@ -340,19 +348,19 @@ def test_config_file_named_like_a_preset_is_read_as_a_file(tmp_path, monkeypatch
 GOLDEN_DIGESTS = {
     ("case1", "exact,approx-new"): (
         "58678f0041c5d4494033ae88a3c98710b9ed297eb83dbc85fc6e46dc58c117ed",
-        "88e6d5990b9ccfb6a0f7a47ab60e2b0404db83678acca37979d4473bfb17dbda",
+        "af00b8d96736dc53cbc436c5ee07d15cf48955f65d911ba5421af4521b9c4b73",
     ),
     ("case2", "exact,approx-new"): (
         "ece1bf64bd540bac54d9894e03d1f03e965d0cea1bbe5b340464847f4c6413fc",
-        "51abf72aaee65ba364cd510b13df655d07f8284a178718b12114871953ef816f",
+        "a60985a0e9b390170cd62e6c4caa73eca9b87afd18c6f6006c3596456e9ee409",
     ),
     ("case3", "exact,approx-new"): (
         "db2da60290194cbe97ad015ac9fd835b17c5715820a0d955f77b9bea17c47cdc",
-        "4df5f1fd5f41c8d907d908b3ff0c9278facff20f1824ce3ad9c12678beaa7df9",
+        "34dbe10324e3c3b3215d6121cb7c961b2182d329aab0e1407492d423c34df114",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
         "2ef425844457ba6a2e17893016c011eb4b9fa5cdffcd93877f0b25d88b5ce042",
-        "7cf696f7f8b15355a0242bcd44747a107180a873ca3f2baf44cf244c05d3b603",
+        "3be3930a4b831b9006e0f23faee0945156716bd47a60eb37b89e2989dfd2fa25",
     ),
 }
 

@@ -197,6 +197,22 @@ def test_runconfig_validation():
         RunConfig(link=link, sweep=(-4.0, 16.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mc_trials", 2.5), ("mc_trials", True), ("mc_trials", "10"), ("mc_trials", None),
+    ("seed", True), ("seed", 1.0), ("workers", 1.5), ("workers", False),
+    ("fec_threshold", "0.1"), ("fec_threshold", True), ("fec_threshold", None),
+])
+def test_runconfig_rejects_a_count_or_threshold_of_the_wrong_type(field, value):
+    # one problem naming the field, next to the other fields' problems
+    link = preset_config("case1").link
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(link=link, methods=(), **{field: value})
+    problems = excinfo.value.problems
+    assert len(problems) == 2
+    assert problems[0] == "methods: at least one method required"
+    assert problems[1].startswith(f"{field}: must be ") and problems[1].endswith(f"(got {value!r})")
+
+
 def test_runconfig_rejects_a_sweep_with_too_many_points():
     link = preset_config("case1").link
     with pytest.raises(ConfigError) as excinfo:

@@ -45,6 +45,7 @@ from fso_ber import ber as ber_module
 from fso_ber.analysis import _RESOLUTION_DB, power_grid
 from fso_ber.channel import log_gain_of, log_gain_window
 from fso_ber.config import DEFAULT_FEC_THRESHOLD, DEFAULT_SWEEP
+from test_ber import LINK_DOMAIN
 
 POINTING_M = (1e-3, 1e-2, 1e-1, 1.0)
 RYTOV = (1e-6, 0.1, 0.5, 1.0)
@@ -289,8 +290,7 @@ def test_integrand_is_evaluated_only_where_it_has_mass(pointing_m, rytov, p_dbm,
     c = link.responsivity_a_per_w * p / (math.sqrt(2.0) * link.noise_std)
     v_cutoff = log_gain_of(40.0 / c, d)  # u = c h(v) = 40
     assert all(lo <= v <= v_cutoff + 1e-9 * abs(v_cutoff) for v in nodes)
-    # and once: approx-prev's endpoint check uses the endpoint segment's first
-    # rule, which the integration then starts from
+    # and each once
     assert len(set(nodes)) == len(nodes)
 
 
@@ -374,14 +374,19 @@ def test_approx_new_within_a_fixed_factor_of_exact_on_the_presets(case):
     _assert_ratio_bound(LinkParams(**PRESETS[case]), power_grid(*DEFAULT_SWEEP))
 
 
-@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
-def test_fec_gap_within_the_ratio_bound(case):
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(**LINK_DOMAIN)
+def test_approx_new_within_a_fixed_factor_of_exact_on_a_drawn_domain(p_dbm, log_pointing,
+                                                                      log_rytov):
+    _assert_ratio_bound(_link(10.0 ** log_pointing, 10.0 ** log_rytov), [p_dbm])
+
+
+def _assert_gap_bound(link):
     # BER falls with power, so approx-new reaches t where exact reaches a
     # value in [t / RATIO_HIGH, t / RATIO_LOW]. At 3.84e-3 the gap bounds are
     # [-0.0040, +0.0989] dB for case1, [-0.0063, +0.1556] for case2 and
     # [-0.0079, +0.1959] for case3. Each crossing lies within half the
     # resolution of its root, and each side below compares two crossings.
-    link = LinkParams(**PRESETS[case])
     d = derive(link)
     t = DEFAULT_FEC_THRESHOLD
 
@@ -391,3 +396,16 @@ def test_fec_gap_within_the_ratio_bound(case):
     gap = delta(BerMethod.EXACT, BerMethod.APPROX_NEW, t, d, link)
     assert gap >= p_exact(t / RATIO_LOW) - p_exact(t) - _RESOLUTION_DB
     assert gap <= p_exact(t / RATIO_HIGH) - p_exact(t) + _RESOLUTION_DB
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+def test_fec_gap_within_the_ratio_bound(case):
+    _assert_gap_bound(LinkParams(**PRESETS[case]))
+
+
+@pytest.mark.parametrize("rytov", RYTOV)
+@pytest.mark.parametrize("pointing_m", POINTING_M)
+def test_fec_gap_within_the_ratio_bound_on_the_domain_links(pointing_m, rytov):
+    # with the presets, the 19 links of tests/test_fingerprint.py; each has
+    # all of these crossings, so none is skipped, and a BracketError fails
+    _assert_gap_bound(_link(pointing_m, rytov))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fso_ber import IntegrandError, Tolerance, integrate, quadrature
 from fso_ber.channel import DerivedParams, gain_of, log_gain_window
-from fso_ber.quadrature import _WG, _WGK, _XGK, POLE_ERROR, _rule
+from fso_ber.quadrature import _WG, _WGK, _XGK, _rule
 
 
 def test_constant_integrand():
@@ -143,12 +143,13 @@ def test_budget_exhaustion_returns_unconverged(monkeypatch):
 
 
 def test_non_integrable_pole_stops_when_error_stops_shrinking():
-    # each halving toward the pole keeps the endpoint interval's error at
-    # POLE_ERROR; 10 free bisections plus 20 growing ones, one rule plus two each
+    # each halving toward the pole keeps the endpoint interval's error at the
+    # rule's estimate on [0, 1]; 10 free bisections plus 20 growing ones, one
+    # rule plus two each
     res = integrate(lambda x: 1.0 / x, 0.0, 1.0)
     assert not res.converged
     assert res.evaluations == 15 * (1 + 2 * 30)
-    assert res.error_estimate == pytest.approx(POLE_ERROR, rel=1e-9)
+    assert res.error_estimate == pytest.approx(_rule(lambda x: 1.0 / x, 0.0, 1.0)[1], rel=1e-9)
 
 
 @pytest.mark.parametrize("f, exact", [(lambda x: x**-0.5, 2.0), (math.log, -1.0)])
