@@ -18,22 +18,24 @@ points share their trials. A trial with r at or below the lowest threshold
 errs at no power, so each batch places only its upper tail, r > snr[0]
 (about one trial in eight on the default sweep), among the thresholds: that
 decision is exact, not a skip, as every trial that errs anywhere is in the
-tail. Trials run in the fixed 50 000-trial batches of
-:func:`batch_generators`, each on its own SFC64 generator, shared out among
-the calling thread and a ``concurrent.futures`` thread pool, one thread per
-CPU the process may run on in all; integer counts add in any order,
-so the estimates depend only on (seed, trials), never on the CPU count. Each
-thread draws into its own two float arrays and marks its tail in its own
-boolean array, allocated once per call, so a call's memory does not grow
-with the trial count. This module holds all of the package's randomness.
+tail. Trials run in fixed 50 000-trial batches, batch i on the SFC64
+generator :func:`batch_rng` makes from (seed, i). Of T threads, the calling
+thread and T - 1 from a ``concurrent.futures`` pool, one per CPU the
+process may run on, thread t decides batches t, t + T, t + 2T, ...; integer
+counts add in any order, so the estimates depend only on (seed, trials),
+never on the CPU count. Each thread draws into its own two float arrays and
+marks its tail in its own boolean array, allocated once per call, so a
+call's memory does not grow with the trial count. This module holds all of
+the package's randomness.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,22 +62,23 @@ class McEstimate:
     low_confidence: bool  # True when no errors were observed (one-sided bound only)
 
 
-def batch_generators(seed: int, n: int) -> Iterator[tuple[np.random.Generator, int]]:
-    """Split ``n`` draws into fixed-size batches, each with its own generator.
+def batch_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of batch ``i``: SFC64 seeded by the i-th child of ``seed``.
 
-    Batch i draws from an SFC64 generator seeded by the i-th child spawned
-    from the master seed, so the draws depend only on (seed, n), never on the
-    order or the thread in which the batches run. ``n`` is checked at the
-    call; the batches are made one at a time as they are consumed.
+    ``SeedSequence(seed, spawn_key=(i,))`` is the i-th child of
+    ``SeedSequence(seed).spawn(k)`` for any k > i, so batch i's draws depend
+    only on (seed, i), never on the order or the thread in which it runs.
     """
-    if n < 1:
-        raise ValueError(f"draw count must be >= 1, got {n!r}")
-    root = np.random.SeedSequence(seed)
-    # successive spawn(1) calls give the same children as one spawn(k)
-    return (
-        (np.random.Generator(np.random.SFC64(root.spawn(1)[0])), min(_BATCH, n - start))
-        for start in range(0, n, _BATCH)
-    )
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def _check_draws(name: str, n: int, seed: int) -> None:
+    """Refuse a draw count ``n`` below 1 or a ``seed`` below 0, or either not an integer."""
+    for label, value, least in ((f"{name}: draw count", n, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{label} must be >= {least}, got {value!r}")
 
 
 def draw_gains(
@@ -106,14 +109,15 @@ def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` gain samples, bit-reproducible for a given (seed, n).
 
     These are exactly the gains :func:`mc_ber` draws for ``trials = n`` and
-    the same seed (see :func:`batch_generators`). Each batch is drawn straight
-    into its slice of the result, so the peak is the result plus one batch.
+    the same seed: batch i draws its up to 50 000 gains from
+    :func:`batch_rng` (seed, i) straight into its slice of the result, so the
+    peak is the result plus one batch.
     """
-    batches = batch_generators(seed, n)  # checks n before the allocation
+    _check_draws("n", n, seed)
     h = np.empty(n)
     e = np.empty(min(_BATCH, n))
-    for start, (rng, size) in zip(range(0, n, _BATCH), batches):
-        draw_gains(rng, d, size, h[start:start + size], e)
+    for i, start in enumerate(range(0, n, _BATCH)):
+        draw_gains(batch_rng(seed, i), d, min(_BATCH, n - start), h[start:start + _BATCH], e)
     return h
 
 
@@ -152,40 +156,37 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     so. A gain that underflows to 0 gives r = +-inf, which errs at every
     threshold when n > 0 and at none when n < 0; r = 0/0 = nan fails
     r > snr[0], so it is counted nowhere, as n > s h is false for n = h = 0.
-    An empty ``snr`` checks ``trials`` and draws nothing.
+    An empty ``snr`` draws nothing.
 
-    The calling thread and ``min(cpus, batches) - 1`` helper threads of a
-    ``concurrent.futures`` pool take the batches one at a time from the one
-    generator of :func:`batch_generators` (numpy's drawing, dividing, copying
-    and sorting release the GIL). Each thread decides into its own buffers
-    and counts, and the counts are summed at the end. With one batch or one
-    CPU no thread starts. An exception in any thread stops the others at
-    their next batch and is raised once every helper has exited.
+    Of the T = ``min(cpus, batches)`` threads, the calling thread and T - 1
+    helpers of a ``concurrent.futures`` pool, thread t decides batches t,
+    t + T, t + 2T, ... of :func:`batch_rng` (numpy's drawing, dividing,
+    copying and sorting release the GIL). Each thread decides into its own
+    buffers and counts, and the counts are summed at the end. With one
+    batch or one CPU no thread starts. An exception in any thread stops the
+    others at their next batch and is raised once every helper has exited.
     """
-    batches = batch_generators(seed, trials)  # checks trials before the allocation
     snr = np.asarray(snr, dtype=float)
     if snr.size == 0:
         return []
+    batches = -(-trials // _BATCH)
     size = min(_BATCH, trials)
     # every thread's buffers exist for the whole call, so its peak memory does
     # not depend on how the threads happen to overlap
     buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-               for _ in range(min(_usable_cpus(), -(-trials // _BATCH)))]
-    lock, stop = threading.Lock(), threading.Event()
+               for _ in range(min(_usable_cpus(), batches))]
+    stop = threading.Event()
 
-    def work(h: np.ndarray, e: np.ndarray, above: np.ndarray) -> np.ndarray:
+    def work(first: int, h: np.ndarray, e: np.ndarray, above: np.ndarray) -> np.ndarray:
         counts = np.zeros(snr.size, dtype=np.int64)
         try:
             with np.errstate(divide="ignore", invalid="ignore"):  # per thread
-                while not stop.is_set():
-                    with lock:
-                        batch = next(batches, None)
-                    if batch is None:
+                for i in range(first, batches, len(buffers)):
+                    if stop.is_set():
                         break
-                    rng, n = batch
+                    rng, n = batch_rng(seed, i), min(_BATCH, trials - i * _BATCH)
                     r = draw_gains(rng, d, n, h, e)
-                    noise = rng.standard_normal(out=e[:n])
-                    np.divide(noise, r, out=r)
+                    np.divide(rng.standard_normal(out=e[:n]), r, out=r)  # r = noise / gain
                     mask = np.greater(r, snr[0], out=above[:n])
                     k = np.count_nonzero(mask)
                     tail = np.compress(mask, r, out=e[:k])  # the noise is spent
@@ -197,12 +198,12 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
         return counts
 
     if len(buffers) == 1:
-        return work(*buffers[0]).tolist()
+        return work(0, *buffers[0]).tolist()
     from concurrent.futures import ThreadPoolExecutor  # importing the package does not load it
 
     with ThreadPoolExecutor(len(buffers) - 1, thread_name_prefix="fso_ber-mc") as pool:
-        helpers = [pool.submit(work, *own) for own in buffers[1:]]
-        counts = work(*buffers[0])
+        helpers = [pool.submit(work, t, *buffers[t]) for t in range(1, len(buffers))]
+        counts = work(0, *buffers[0])
         for helper in helpers:
             counts += helper.result()
     return counts.tolist()
@@ -224,8 +225,10 @@ def mc_ber(
     estimate at each power equals ``mc_ber`` at that power alone for the same
     (trials, seed), and the error count never rises with power. Intended
     trial counts are >= 1e4; the Wilson interval keeps the CI meaningful down
-    to zero observed errors.
+    to zero observed errors. ``trials`` must be an integer >= 1 and ``seed``
+    an integer >= 0; either raises ``ValueError`` otherwise.
     """
+    _check_draws("trials", trials, seed)
     single = np.ndim(p_watts) == 0
     snr = [_threshold(p, link) for p in ([p_watts] if single else p_watts)]
     if any(b < a for a, b in zip(snr, snr[1:])):

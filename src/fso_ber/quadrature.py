@@ -71,9 +71,6 @@ class Tolerance:
         if not (self.abs_tol >= 0.0):
             raise ValueError(f"abs_tol must be >= 0 (got {self.abs_tol!r})")
 
-    def target(self, value: float) -> float:
-        return max(self.rel_tol * abs(value), self.abs_tol)
-
 
 class QuadratureResult(NamedTuple):
     """Value of one integral together with its accuracy diagnostics."""
@@ -219,7 +216,6 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     growing = 0
     rel_tol, abs_tol, budget = tol.rel_tol, tol.abs_tol, _MAX_EVALUATIONS
 
-    # the loop condition is tol.target(total_value), written out
     while total_error > max(rel_tol * abs(total_value), abs_tol):
         if evaluations + 30 > budget or not heap or growing >= _GROWING_LIMIT:
             return QuadratureResult(total_value, total_error, evaluations, False)

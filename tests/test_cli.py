@@ -105,7 +105,7 @@ def test_run_without_mc_never_builds_a_generator(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("random generator constructed in a deterministic run")
 
-    # batch_generators builds Generator(SFC64(child)); either call fails the run
+    # batch_rng builds Generator(SFC64(SeedSequence(...))); either call fails the run
     monkeypatch.setattr(np.random, "SFC64", forbidden)
     monkeypatch.setattr(np.random, "Generator", forbidden)
     run(_fast_config(tmp_path / "a"))

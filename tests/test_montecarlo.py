@@ -17,7 +17,7 @@ from fso_ber.montecarlo import (
     _BATCH,
     WILSON_Z99,
     _error_counts,
-    batch_generators,
+    batch_rng,
     draw_gains,
 )
 
@@ -76,7 +76,7 @@ def _fix_noise(monkeypatch, noise):
             out[:] = noise
             return out
 
-    monkeypatch.setattr(montecarlo, "batch_generators", lambda seed, n: iter([(Fixed(), n)]))
+    monkeypatch.setattr(montecarlo, "batch_rng", lambda seed, i: Fixed())
 
 
 def test_zero_error_outcome_flagged(links, deriveds, monkeypatch):
@@ -117,9 +117,14 @@ def test_pinned_gain_error_counts_within_five_sigma(links, deriveds, monkeypatch
         assert abs(est.errors - trials * level) <= 5.0 * sigma, (level, est.errors)
 
 
+def _batches(n):
+    """(i, size) of each batch of ``n`` draws."""
+    return [(i, min(_BATCH, n - start)) for i, start in enumerate(range(0, n, _BATCH))]
+
+
 def _brute_force_counts(thresholds, gains, trials, seed):
-    ratios = np.concatenate([rng.standard_normal(n) / gains[:n]
-                             for rng, n in batch_generators(seed, trials)])
+    ratios = np.concatenate([batch_rng(seed, i).standard_normal(n) / gains[:n]
+                             for i, n in _batches(trials)])
     return [np.count_nonzero(ratios > s) for s in thresholds]
 
 
@@ -162,8 +167,8 @@ def test_zero_gains_err_exactly_when_the_noise_is_positive(monkeypatch, links, d
     link, d = links["case1"], deriveds["case1"]
     _pin_gain(monkeypatch, np.zeros(_BATCH))
     trials, seed = 30_000, 4
-    ((rng, n),) = batch_generators(seed, trials)
-    positive = int(np.count_nonzero(rng.standard_normal(n) > 0.0))
+    assert trials <= _BATCH  # one batch
+    positive = int(np.count_nonzero(batch_rng(seed, 0).standard_normal(trials) > 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimates = mc_ber([dbm_to_watts(p) for p in (-4.0, 6.0, 16.0)], d, link, trials, seed)
@@ -239,26 +244,16 @@ def test_sample_h_returns_the_gains_mc_ber_draws(links, deriveds, monkeypatch):
     assert np.array_equal(np.concatenate(batches), sample_h(d, trials, seed=5))
 
 
-def test_batch_generators_are_made_as_consumed(monkeypatch):
-    children = np.random.SeedSequence(11).spawn(3)
-    spawned = []
-
-    class Counting(np.random.SeedSequence):
-        def spawn(self, n_children):
-            spawned.append(n_children)
-            # fail here, not by exhausting memory, if the batches are made eagerly
-            assert sum(spawned) <= len(children), "generators made ahead of use"
-            return super().spawn(n_children)
-
-    monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    batches = batch_generators(11, 10**15)
-    assert spawned == []
-    for child in children:
-        rng, size = next(batches)
-        assert size == _BATCH
-        # batch i draws from the i-th child of one spawn(k)
-        assert rng.random() == np.random.Generator(np.random.SFC64(child)).random()
-    assert spawned == [1] * len(children)
+@pytest.mark.parametrize("seed", [0, 11, 2706864223])
+def test_batch_rng_is_the_ith_spawned_child(seed):
+    # every output made since SFC64 batches came in drew batch i from the i-th
+    # child of one spawn(k); batch_rng must give the same generator
+    children = np.random.SeedSequence(seed).spawn(64)
+    for i in (0, 1, 2, 19, 20, 63):
+        spawned = np.random.Generator(np.random.SFC64(children[i]))
+        rng = batch_rng(seed, i)
+        assert np.array_equal(rng.standard_normal(5), spawned.standard_normal(5)), i
+        assert np.array_equal(rng.standard_exponential(5), spawned.standard_exponential(5)), i
 
 
 @pytest.mark.parametrize("trials", [_BATCH // 3, _BATCH + 1, 3 * _BATCH + 7_777],
@@ -320,10 +315,37 @@ def test_a_failing_batch_stops_every_thread_and_is_raised(links, deriveds, monke
     assert len(calls) < batches
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_batch_generators_reject_a_bad_count_at_the_call(n):
-    with pytest.raises(ValueError, match="draw count"):
-        batch_generators(1, n)  # not iterated
+def _refuse_batches(monkeypatch):
+    def refuse(seed, i):
+        raise AssertionError("drew a batch for a refused call")
+
+    monkeypatch.setattr(montecarlo, "batch_rng", refuse)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 1e4, 2.5, None, "100"], ids=repr)
+def test_a_bad_draw_count_is_refused_at_the_call(links, deriveds, monkeypatch, n):
+    _refuse_batches(monkeypatch)
+    with pytest.raises(ValueError, match=r"^trials: draw count must be"):
+        mc_ber(1e-3, deriveds["case1"], links["case1"], trials=n, seed=1)
+    with pytest.raises(ValueError, match=r"^n: draw count must be"):
+        sample_h(deriveds["case1"], n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, None, "1"], ids=repr)
+def test_a_bad_seed_is_refused_at_the_call(links, deriveds, monkeypatch, seed):
+    # seed=None would draw every batch from fresh OS entropy
+    _refuse_batches(monkeypatch)
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        mc_ber(1e-3, deriveds["case1"], links["case1"], trials=100, seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        sample_h(deriveds["case1"], 100, seed=seed)
+
+
+def test_numpy_integers_are_accepted_as_counts_and_seeds(links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    trials, seed = np.int64(_BATCH + 7), np.int64(12)
+    assert mc_ber(1e-3, d, link, trials, seed) == mc_ber(1e-3, d, link, int(trials), int(seed))
+    assert np.array_equal(sample_h(d, trials, seed), sample_h(d, int(trials), int(seed)))
 
 
 def test_mc_ber_memory_does_not_grow_with_trials(links, deriveds, monkeypatch):
@@ -356,8 +378,8 @@ def test_sample_h_peak_is_its_result_plus_one_batch(deriveds):
         tracemalloc.stop()
     block = _BATCH * np.dtype(np.float64).itemsize
     assert peak <= h.nbytes + block + 65_536, (peak, h.nbytes)
-    expected = np.concatenate([draw_gains(rng, d, size, np.empty(size), np.empty(size))
-                               for rng, size in batch_generators(8, n)])
+    expected = np.concatenate([draw_gains(batch_rng(8, i), d, size, np.empty(size), np.empty(size))
+                               for i, size in _batches(n)])
     assert np.array_equal(h, expected)
 
 
