@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
-from .errors import BracketError, NonMonotoneError
+from .errors import BracketError, NonMonotoneError, check_integer, check_members, check_threshold
 from .montecarlo import McEstimate, mc_ber
 
 _ANALYTIC = {
@@ -103,18 +103,21 @@ def sweep(
     the power, or for Monte Carlo the grid's span. ``workers`` has no effect
     and is kept for callers that pass it: Monte Carlo shares its batches
     among the CPUs the process may run on, and results depend on neither.
-    An entry of ``methods`` that is not a :class:`BerMethod` raises ``ValueError``.
+    Before any work, ``ValueError`` refuses an entry of ``methods`` that is
+    not a :class:`BerMethod`, a ``workers`` that is not an integer >= 1 and,
+    with Monte Carlo, an ``mc_trials`` that is not an integer >= 1 or a
+    ``seed`` that is not an integer >= 0.
     """
     chosen = set(methods)
-    unknown = sorted(map(repr, chosen - set(BerMethod)))
-    if unknown:
-        raise ValueError(f"sweep methods must be BerMethod members, got {', '.join(unknown)}")
+    check_members("methods", chosen, BerMethod)
+    check_integer("workers", workers, 1)
+    if BerMethod.MONTE_CARLO in chosen:
+        check_integer("mc_trials", mc_trials, 1)
+        check_integer("seed", seed, 0)
     wanted = [m for m in BerMethod if m in chosen]
     if not wanted:
         return []
     grid = power_grid(*p_range_dbm)
-    if BerMethod.MONTE_CARLO in wanted and (mc_trials is None or seed is None):
-        raise ValueError("Monte Carlo requested but mc_trials or seed not given")
 
     curves: list[BerCurve] = []
     for method in wanted:
@@ -145,9 +148,9 @@ def fec_crossing(
     BER must decrease with power: a rise, or a repeated positive value, among
     the probed points aborts with a diagnostic rather than returning a bogus
     root. A failed BER call names the method and the power, as in :func:`sweep`.
+    A ``threshold`` that is not a number in (0, 0.5) raises ``ValueError``.
     """
-    if not (0.0 < threshold < 0.5):
-        raise ValueError(f"threshold must be in (0, 0.5), got {threshold!r}")
+    check_threshold("threshold", threshold)
     if not method.is_analytic:
         raise ValueError("crossings are located on analytic methods only; "
                          "interpolate the Monte Carlo sweep instead")

@@ -19,10 +19,9 @@ huge prefactors of the direct gain-space expression cancel analytically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
-from .errors import GeometryError, RegimeError
+from .errors import GeometryError, RegimeError, check_number, refuse
 from .special import EXACT_KERNEL, Kernel
 
 # log_gain_window drops at most exp(-_TAIL) of the mass below its lower end
@@ -62,9 +61,7 @@ class LinkParams:
     def __post_init__(self):
         for field in fields(self):
             name, value = field.name, getattr(self, field.name)
-            # numpy's scalars are numbers.Real; bool is one too, but no length or rate
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            check_number(name, value)
             if name == "rytov_variance":
                 if not 0.0 < value <= 1.0:
                     raise RegimeError(
@@ -72,10 +69,9 @@ class LinkParams:
                         "regime (0, 1] this model covers"
                     )
             elif name == "attenuation_db_per_km":
-                if not (math.isfinite(value) and value >= 0):
-                    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-            elif not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+                check_number(name, value, 0.0)
+            elif not value > 0.0:
+                refuse(name, "> 0", value)
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,9 @@ def derive(params: LinkParams) -> DerivedParams:
     """Map raw link inputs to the derived channel quantities.
 
     Raises :class:`GeometryError` when the aperture is not small against the
-    beam (a >= omega_z), where the equivalent-beam pointing model breaks down.
+    beam (a >= omega_z), where the equivalent-beam pointing model breaks down,
+    and :class:`RegimeError` when the peak gain A0 h_l underflows to 0, where
+    no gain has a logarithm and every BER method would fail.
     """
     if params.aperture_radius_m >= params.beam_waist_m:
         raise GeometryError(
@@ -122,6 +120,13 @@ def derive(params: LinkParams) -> DerivedParams:
     v = math.sqrt(math.pi / 2.0) * params.aperture_radius_m / params.beam_waist_m
     erf_v = math.erf(v)
     a0 = erf_v * erf_v
+    if a0 * h_l == 0.0:
+        raise RegimeError(
+            f"the peak gain A0 h_l underflows to 0 at attenuation_db_per_km = "
+            f"{params.attenuation_db_per_km!r}, link_length_km = {params.link_length_km!r}, "
+            f"aperture_radius_m = {params.aperture_radius_m!r} and "
+            f"beam_waist_m = {params.beam_waist_m!r}"
+        )
     omega_z_eq_sq = (
         params.beam_waist_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
     )

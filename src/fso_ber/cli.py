@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import _PARSERS, PRESETS, preset_config, read_config
+from .config import _PARSERS, PRESETS, _run_problems, preset_config, read_config
 from .errors import ConfigError
 from .runner import run
 
@@ -68,26 +68,25 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_sweep(argv))
-    # the overrides parse apart from the config source, so one pass reports both
-    given = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
-    problems = []
-    for key, text in given.items():
-        try:
-            given[key] = _PARSERS[key](text)
-        except ValueError as exc:
-            problems.append(f"{key}: {exc}")
+    # the options are parsed and checked apart from the config source, by the
+    # config's own parsers and checks, so one pass reports the problems of both
+    given, problems = {}, []
+    for key, text in vars(args).items():
+        if key in _PARSERS and text is not None:
+            try:
+                given[key] = _PARSERS[key](text)
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
+    problems += _run_problems(given)
     try:
         # a --config path is read as a file even when it is named like a preset
         config = preset_config(args.preset) if args.preset else read_config(args.config)
     except ConfigError as exc:
         problems = exc.problems + problems
-    try:
-        if problems:
-            raise ConfigError(problems)
-        config = replace(config, **given)
-    except (ConfigError, ValueError) as exc:
-        print(f"fso-ber: {exc}", file=sys.stderr)
+    if problems:
+        print(f"fso-ber: {ConfigError(problems)}", file=sys.stderr)
         return 2
+    config = replace(config, **given)  # every value was checked above
 
     try:
         artifacts = run(config)

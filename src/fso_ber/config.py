@@ -8,13 +8,13 @@ problem before reporting, so a bad file is diagnosed in one pass.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
+from os import PathLike
 
 from .analysis import power_grid
 from .ber import BerMethod
 from .channel import LinkParams
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_members, check_threshold, refuse
 
 DEFAULT_FEC_THRESHOLD = 3.84e-3
 DEFAULT_SWEEP = (-4.0, 16.0, 0.5)
@@ -54,31 +54,51 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        problems = []
-        try:
-            power_grid(*self.sweep)
-        except TypeError:
-            problems.append(f"sweep: expected (lo, hi, step), got {self.sweep!r}")
-        except ValueError as exc:
-            problems.append(str(exc))
-        if not self.methods:
-            problems.append("methods: at least one method required")
-        # numpy's scalars are numbers too; bool is one, but no count or threshold
-        for name, lowest in (("mc_trials", 1), ("seed", 0), ("workers", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                problems.append(f"{name}: must be an integer (got {value!r})")
-            elif value < lowest:
-                problems.append(f"{name}: must be >= {lowest} (got {value!r})")
-        threshold = self.fec_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
-            problems.append(f"fec_threshold: must be a number (got {threshold!r})")
-        elif not (0.0 < threshold < 0.5):
-            problems.append(f"fec_threshold: must be in (0, 0.5) (got {threshold!r})")
-        if not self.output_path:
-            problems.append("output_path: must be non-empty")
+        problems = _run_problems(vars(self))
         if problems:
             raise ConfigError(problems)
+
+
+def _check_sweep(sweep) -> None:
+    try:
+        power_grid(*sweep)
+    except TypeError:
+        raise ValueError(f"sweep: expected (lo, hi, step), got {sweep!r}") from None
+
+
+def _check_methods(methods) -> None:
+    if not methods:
+        raise ValueError("methods: at least one method required")
+    check_members("methods", methods, BerMethod)
+
+
+# RunConfig field -> the check of its value, in field order; each raises
+# ValueError naming the field
+_CHECKS = {
+    "link": lambda link: isinstance(link, LinkParams) or refuse("link", "a LinkParams", link),
+    "sweep": _check_sweep,
+    "methods": _check_methods,
+    "mc_trials": lambda n: check_integer("mc_trials", n, 1),
+    "seed": lambda seed: check_integer("seed", seed, 0),
+    "fec_threshold": lambda x: check_threshold("fec_threshold", x),
+    "output_path": lambda path: (isinstance(path, (str, PathLike)) and str(path)
+                                 or refuse("output_path", "a non-empty path", path)),
+    "workers": lambda n: check_integer("workers", n, 1),
+}
+
+
+def _run_problems(values: dict) -> list[str]:
+    """Every problem of the RunConfig fields in ``values``, in field order; an
+    absent field takes RunConfig's default, which passes. RunConfig, a config
+    file's run keys and the CLI's options are all checked here."""
+    problems = []
+    for name, check in _CHECKS.items():
+        if name in values:
+            try:
+                check(values[name])
+            except ValueError as exc:
+                problems.append(str(exc))
+    return problems
 
 
 def parse_methods(text: str) -> tuple[BerMethod, ...]:
@@ -154,19 +174,15 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
     # validate the link and the run fields even when other fields are broken,
     # so every problem surfaces in one pass
-    link = None
     if not missing:
         try:
-            link = LinkParams(**link_kwargs)
+            run_kwargs["link"] = LinkParams(**link_kwargs)
         except ValueError as exc:
             problems.append(f"{origin}: {exc}")
-    try:
-        config = RunConfig(link=link, **run_kwargs)
-    except ConfigError as exc:
-        problems.extend(f"{origin}: {p}" for p in exc.problems)
+    problems.extend(f"{origin}: {p}" for p in _run_problems(run_kwargs))
     if problems:
         raise ConfigError(problems)
-    return config
+    return RunConfig(**run_kwargs)
 
 
 def read_config(path: str) -> RunConfig:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package; each check
+raises ``ValueError("<name>: must be ... (got <value>)")``, naming the argument."""
+
+import math
+import numbers
+from typing import NoReturn
 
 
 class RegimeError(ValueError):
@@ -36,3 +41,42 @@ class BracketError(RuntimeError):
 
 class NonMonotoneError(RuntimeError):
     """BER samples are not monotone in transmit power; crossing search aborted."""
+
+
+def refuse(name: str, what: str, value) -> NoReturn:
+    raise ValueError(f"{name}: must be {what} (got {value!r})")
+
+
+# numpy's scalars pass the number checks below; bool is a number to Python,
+# but no count, seed, rate or threshold, so they refuse it
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an integer >= ``least``: a count or a seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        refuse(name, "an integer", value)
+    if value < least:
+        refuse(name, f">= {least}", value)
+
+
+def check_number(name: str, value, least: float = -math.inf) -> None:
+    """Refuse ``value`` unless it is a finite real number >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        refuse(name, "a finite number", value)
+    if value < least:
+        refuse(name, f">= {least:g}", value)
+
+
+def check_threshold(name: str, value) -> None:
+    """Refuse ``value`` unless it is a BER threshold, a number in (0, 0.5)."""
+    check_number(name, value)
+    if not 0.0 < value < 0.5:
+        refuse(name, "in (0, 0.5)", value)
+
+
+def check_members(name: str, values, kind: type) -> None:
+    """Refuse ``values`` unless every entry is a ``kind``; the strays are named once each."""
+    try:
+        strays = sorted({repr(v) for v in values if not isinstance(v, kind)})
+    except TypeError:  # not iterable
+        refuse(name, f"a collection of {kind.__name__} members", values)
+    if strays:
+        raise ValueError(f"{name}: must be {kind.__name__} members (got {', '.join(strays)})")

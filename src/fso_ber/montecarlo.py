@@ -32,7 +32,6 @@ the package's randomness.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from collections.abc import Sequence
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DerivedParams, LinkParams, check_power
+from .errors import check_integer
 
 # fixed sub-batch size; part of the determinism contract. The buffers of one
 # thread (two float batches and one bool batch, about 0.85 MB) fit in a core's
@@ -70,15 +70,6 @@ def batch_rng(seed: int, i: int) -> np.random.Generator:
     only on (seed, i), never on the order or the thread in which it runs.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
-
-
-def _check_draws(name: str, n: int, seed: int) -> None:
-    """Refuse a draw count ``n`` below 1 or a ``seed`` below 0, or either not an integer."""
-    for label, value, least in ((f"{name}: draw count", n, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{label} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{label} must be >= {least}, got {value!r}")
 
 
 def draw_gains(
@@ -113,7 +104,8 @@ def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
     :func:`batch_rng` (seed, i) straight into its slice of the result, so the
     peak is the result plus one batch.
     """
-    _check_draws("n", n, seed)
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0)
     h = np.empty(n)
     e = np.empty(min(_BATCH, n))
     for i, start in enumerate(range(0, n, _BATCH)):
@@ -123,8 +115,7 @@ def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """99% Wilson score interval; stays valid at very low error counts."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    check_integer("trials", trials, 1)
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors!r}")
     z = WILSON_Z99
@@ -228,7 +219,8 @@ def mc_ber(
     to zero observed errors. ``trials`` must be an integer >= 1 and ``seed``
     an integer >= 0; either raises ``ValueError`` otherwise.
     """
-    _check_draws("trials", trials, seed)
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
     single = np.ndim(p_watts) == 0
     snr = [_threshold(p, link) for p in ([p_watts] if single else p_watts)]
     if any(b < a for a, b in zip(snr, snr[1:])):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import IntegrandError
+from .errors import IntegrandError, check_number
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; the rule is symmetric)
 # and the matching Kronrod / embedded 7-point Gauss weights.
@@ -66,10 +66,8 @@ class Tolerance:
     abs_tol: float = 1e-15
 
     def __post_init__(self):
-        if not (self.rel_tol >= 1e-14):
-            raise ValueError(f"rel_tol must be >= 1e-14 (got {self.rel_tol!r})")
-        if not (self.abs_tol >= 0.0):
-            raise ValueError(f"abs_tol must be >= 0 (got {self.abs_tol!r})")
+        check_number("rel_tol", self.rel_tol, 1e-14)
+        check_number("abs_tol", self.abs_tol, 0.0)
 
 
 class QuadratureResult(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import pytest
@@ -76,7 +77,7 @@ def test_sweep_empty_methods(links, deriveds):
 def test_sweep_rejects_entries_that_are_not_methods(methods, named, links, deriveds,
                                                     monkeypatch):
     monkeypatch.setattr(analysis, "power_grid", None)  # rejected before any work
-    with pytest.raises(ValueError, match=f"BerMethod members, got {named}$"):
+    with pytest.raises(ValueError, match=rf"^methods: must be BerMethod members \(got {named}\)$"):
         sweep(methods, (-4.0, 16.0, 0.5), deriveds["case1"], links["case1"])
 
 
@@ -225,8 +226,24 @@ def test_sweep_mc_deterministic_across_workers(links, deriveds):
 
 @pytest.mark.parametrize("mc", [dict(mc_trials=1_000), dict(seed=4242)])
 def test_sweep_mc_requires_trials_and_seed(mc, links, deriveds):
-    with pytest.raises(ValueError, match="mc_trials or seed"):
+    (absent,) = {"mc_trials", "seed"} - set(mc)
+    with pytest.raises(ValueError, match=rf"^{absent}: must be an integer \(got None\)$"):
         sweep({BerMethod.MONTE_CARLO}, (-4.0, 0.0, 2.0), deriveds["case1"], links["case1"], **mc)
+
+
+@pytest.mark.parametrize("mc, named", [
+    (dict(mc_trials=True, seed=1), "mc_trials: must be an integer (got True)"),
+    (dict(mc_trials=0, seed=1), "mc_trials: must be >= 1 (got 0)"),
+    (dict(mc_trials=1_000, seed=-1), "seed: must be >= 0 (got -1)"),
+    (dict(mc_trials=1_000, seed=1, workers=0), "workers: must be >= 1 (got 0)"),
+])
+def test_sweep_refuses_a_bad_count_before_any_work(mc, named, links, deriveds, monkeypatch):
+    # the exact curve, computed first, must not run before Monte Carlo's inputs are refused
+    monkeypatch.setattr(analysis, "power_grid", None)
+    monkeypatch.setattr(analysis, "mc_ber", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        sweep([BerMethod.EXACT, BerMethod.MONTE_CARLO], (-4.0, 0.0, 2.0), deriveds["case1"],
+              links["case1"], **mc)
 
 
 def test_sweep_mc_points_keep_their_estimates(links, deriveds):
@@ -272,6 +289,18 @@ def test_fec_crossing_case1_frozen(links, deriveds):
     assert report.p_cross_dbm == pytest.approx(-1.0687, abs=2e-3)
     lo, hi = report.bracket
     assert hi - lo <= 1e-3 + 1e-12
+
+
+@pytest.mark.parametrize("threshold, what", [
+    ("0.1", "a finite number"), (True, "a finite number"), (None, "a finite number"),
+    (math.nan, "a finite number"), (0.0, "in (0, 0.5)"), (0.5, "in (0, 0.5)"),
+])
+def test_fec_crossing_refuses_a_bad_threshold_by_name(threshold, what, links, deriveds,
+                                                      monkeypatch):
+    monkeypatch.setitem(_ANALYTIC, BerMethod.EXACT, None)  # refused before any BER call
+    message = f"threshold: must be {what} (got {threshold!r})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fec_crossing(BerMethod.EXACT, threshold, deriveds["case1"], links["case1"])
 
 
 def test_fec_crossing_bracket_straddles(links, deriveds):

@@ -83,6 +83,24 @@ def test_geometry_rejection():
         derive(params)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(attenuation_db_per_km=400.0, link_length_km=1000.0),
+    dict(aperture_radius_m=1e-170),
+])
+def test_derive_refuses_a_peak_gain_that_underflows(fields):
+    # with A0 h_l = 0 no gain has a logarithm, and each BER method would fail
+    # with "math domain error"
+    with pytest.raises(RegimeError, match="A0 h_l underflows to 0") as excinfo:
+        derive(LinkParams(**{**PRESETS["case1"], **fields}))
+    for name in ("attenuation_db_per_km", "link_length_km", "aperture_radius_m",
+                 "beam_waist_m"):
+        assert name in str(excinfo.value)
+    # a loss of 3000 dB still leaves a gain that double precision holds
+    edge = derive(LinkParams(**{**PRESETS["case1"], "attenuation_db_per_km": 1.0,
+                                "link_length_km": 3000.0}))
+    assert edge.h_l == 1e-300 and edge.a0_h_l > 0.0
+
+
 def test_pointing_std_must_be_positive_and_finite():
     # and so must every other field, with 0 allowed for attenuation alone and
     # rytov_variance held to (0, 1]; the error names the field

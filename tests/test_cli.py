@@ -203,6 +203,27 @@ def test_cli_reports_file_and_override_problems_in_one_pass(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_cli_checks_option_values_in_the_same_pass_as_a_bad_file(tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError("run started with an invalid configuration")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    link = dict(preset_config("case1").link.__dict__, rytov_variance=2)
+    path = tmp_path / "strong.cfg"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in link.items()))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--seed", "-1", "--mc-trials", "0",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rytov_variance = 2.0 outside the weak-turbulence regime" in err
+    assert "seed: must be >= 0 (got -1)" in err
+    assert "mc_trials: must be >= 1 (got 0)" in err
+    assert not out.exists()
+
+
 def test_cli_names_a_jitter_angle_line_an_unknown_key(tmp_path, capsys):
     # the pointing jitter is given as a displacement only:
     # pointing_std_m = jitter_angle_mrad * link_length_km

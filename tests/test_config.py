@@ -3,9 +3,10 @@ from dataclasses import fields
 
 import pytest
 
-from fso_ber import ConfigError, LinkParams, PRESETS, RunConfig
+from fso_ber import ConfigError, LinkParams, PRESETS, RunConfig, derive, sweep
 from fso_ber.ber import BerMethod
 from fso_ber.config import (
+    _CHECKS,
     _PARSERS,
     parse_config_text,
     parse_methods,
@@ -201,6 +202,7 @@ def test_runconfig_validation():
     ("mc_trials", 2.5), ("mc_trials", True), ("mc_trials", "10"), ("mc_trials", None),
     ("seed", True), ("seed", 1.0), ("workers", 1.5), ("workers", False),
     ("fec_threshold", "0.1"), ("fec_threshold", True), ("fec_threshold", None),
+    ("output_path", ""), ("output_path", 5), ("output_path", None),
 ])
 def test_runconfig_rejects_a_count_or_threshold_of_the_wrong_type(field, value):
     # one problem naming the field, next to the other fields' problems
@@ -211,6 +213,39 @@ def test_runconfig_rejects_a_count_or_threshold_of_the_wrong_type(field, value):
     assert len(problems) == 2
     assert problems[0] == "methods: at least one method required"
     assert problems[1].startswith(f"{field}: must be ") and problems[1].endswith(f"(got {value!r})")
+
+
+@pytest.mark.parametrize("link", [None, "x", PRESETS["case1"]], ids=["None", "str", "dict"])
+def test_runconfig_refuses_a_link_that_is_not_link_params(link):
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(link=link, mc_trials=0)
+    assert excinfo.value.problems == [f"link: must be a LinkParams (got {link!r})",
+                                      "mc_trials: must be >= 1 (got 0)"]
+
+
+@pytest.mark.parametrize("methods, problem", [
+    (("exact",), "methods: must be BerMethod members (got 'exact')"),
+    ((BerMethod.EXACT, "mc", "approx-new", "mc"),
+     "methods: must be BerMethod members (got 'approx-new', 'mc')"),
+    (5, "methods: must be a collection of BerMethod members (got 5)"),
+])
+def test_runconfig_refuses_methods_that_are_not_ber_methods(methods, problem):
+    link = preset_config("case1").link
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(link=link, methods=methods)
+    assert excinfo.value.problems == [problem]
+
+
+@pytest.mark.parametrize("value", [0, -3, True, 2.5, None, "10"], ids=repr)
+def test_a_trial_count_is_refused_alike_by_the_config_and_the_library(value):
+    # one rule: the problem a RunConfig reports is the error a sweep raises
+    config = preset_config("case1")
+    with pytest.raises(ConfigError) as from_config:
+        RunConfig(link=config.link, mc_trials=value)
+    with pytest.raises(ValueError) as from_sweep:
+        sweep({BerMethod.MONTE_CARLO}, config.sweep, derive(config.link), config.link,
+              mc_trials=value, seed=1)
+    assert from_config.value.problems == [str(from_sweep.value)]
 
 
 def test_runconfig_rejects_a_sweep_with_too_many_points():
@@ -224,3 +259,5 @@ def test_runconfig_rejects_a_sweep_with_too_many_points():
 def test_every_config_field_has_a_parser():
     run_fields = {f.name for f in fields(RunConfig)} - {"link"}
     assert set(_PARSERS) == {f.name for f in fields(LinkParams)} | run_fields
+    # and every RunConfig field one check, listed in field order
+    assert list(_CHECKS) == [f.name for f in fields(RunConfig)]

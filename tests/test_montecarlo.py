@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -203,7 +204,7 @@ def test_mc_ber_over_powers_is_mc_ber_at_each(links, deriveds):
 
 
 def test_mc_ber_over_no_powers_checks_trials_and_draws_nothing(links, deriveds, monkeypatch):
-    with pytest.raises(ValueError, match="draw count must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=r"^trials: must be >= 1 \(got 0\)$"):
         mc_ber([], deriveds["case1"], links["case1"], trials=0, seed=1)
 
     def refuse(*args):
@@ -325,9 +326,10 @@ def _refuse_batches(monkeypatch):
 @pytest.mark.parametrize("n", [0, -1, True, 1e4, 2.5, None, "100"], ids=repr)
 def test_a_bad_draw_count_is_refused_at_the_call(links, deriveds, monkeypatch, n):
     _refuse_batches(monkeypatch)
-    with pytest.raises(ValueError, match=r"^trials: draw count must be"):
+    got = re.escape(f" (got {n!r})")
+    with pytest.raises(ValueError, match=rf"^trials: must be .*{got}$"):
         mc_ber(1e-3, deriveds["case1"], links["case1"], trials=n, seed=1)
-    with pytest.raises(ValueError, match=r"^n: draw count must be"):
+    with pytest.raises(ValueError, match=rf"^n: must be .*{got}$"):
         sample_h(deriveds["case1"], n, seed=1)
 
 
@@ -335,9 +337,10 @@ def test_a_bad_draw_count_is_refused_at_the_call(links, deriveds, monkeypatch, n
 def test_a_bad_seed_is_refused_at_the_call(links, deriveds, monkeypatch, seed):
     # seed=None would draw every batch from fresh OS entropy
     _refuse_batches(monkeypatch)
-    with pytest.raises(ValueError, match=r"^seed must be"):
+    got = re.escape(f" (got {seed!r})")
+    with pytest.raises(ValueError, match=rf"^seed: must be .*{got}$"):
         mc_ber(1e-3, deriveds["case1"], links["case1"], trials=100, seed=seed)
-    with pytest.raises(ValueError, match=r"^seed must be"):
+    with pytest.raises(ValueError, match=rf"^seed: must be .*{got}$"):
         sample_h(deriveds["case1"], 100, seed=seed)
 
 

@@ -175,6 +175,23 @@ def test_tolerance_validation():
         Tolerance(abs_tol=-1e-3)
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [True, False, "1e-9", None, math.inf, math.nan], ids=repr)
+def test_tolerance_refuses_a_value_that_is_not_a_finite_number(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: must be a finite number \(got "):
+        Tolerance(**{field: value})
+
+
+def test_an_infinite_abs_tol_cannot_pass_an_unconverged_integral():
+    # with abs_tol = inf the first rules' error estimate (0.87 on a value of
+    # 1.24) would count as converged
+    with pytest.raises(ValueError, match="abs_tol"):
+        integrate(lambda x: math.sin(50.0 * x) ** 2, 0.0, 3.0, Tolerance(abs_tol=math.inf))
+    res = integrate(lambda x: math.sin(50.0 * x) ** 2, 0.0, 3.0)
+    assert res.converged
+    assert res.value == pytest.approx(1.5 - math.sin(300.0) / 200.0, rel=1e-9)
+
+
 def _degenerate_derived(sigma_x_sq):
     a0, h_l = 1.2745287784456591e-3, 0.85853894423298793
     gamma_sq = 8.006161312523107
