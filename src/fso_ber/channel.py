@@ -60,18 +60,20 @@ class LinkParams:
 
     def __post_init__(self):
         for field in fields(self):
-            name, value = field.name, getattr(self, field.name)
-            check_number(name, value)
-            if name == "rytov_variance":
-                if not 0.0 < value <= 1.0:
-                    raise RegimeError(
-                        f"rytov_variance = {value!r} outside the weak-turbulence "
-                        "regime (0, 1] this model covers"
-                    )
-            elif name == "attenuation_db_per_km":
-                check_number(name, value, 0.0)
-            elif not value > 0.0:
-                refuse(name, "> 0", value)
+            check_link_field(field.name, getattr(self, field.name))
+
+
+def check_link_field(name: str, value) -> None:
+    """Refuse ``value`` for the LinkParams field ``name``: a finite number, > 0
+    but for attenuation (>= 0) and rytov_variance (the weak-turbulence (0, 1])."""
+    check_number(name, value)
+    if name == "rytov_variance" and not 0.0 < value <= 1.0:
+        raise RegimeError(f"rytov_variance = {value!r} outside the weak-turbulence "
+                          "regime (0, 1] this model covers")
+    if name == "attenuation_db_per_km":
+        check_number(name, value, 0.0)
+    elif not value > 0.0:
+        refuse(name, "> 0", value)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import _PARSERS, PRESETS, _run_problems, preset_config, read_config
+from .config import _PARSERS, PRESETS, parse_values, preset_config, read_config
 from .errors import ConfigError
 from .runner import run
 
@@ -68,16 +68,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_sweep(argv))
-    # the options are parsed and checked apart from the config source, by the
-    # config's own parsers and checks, so one pass reports the problems of both
-    given, problems = {}, []
-    for key, text in vars(args).items():
-        if key in _PARSERS and text is not None:
-            try:
-                given[key] = _PARSERS[key](text)
-            except ValueError as exc:
-                problems.append(f"{key}: {exc}")
-    problems += _run_problems(given)
+    # the options are parsed and checked apart from the config source, as a
+    # config file's keys are, so one pass reports the problems of both
+    given, problems = parse_values({key: text for key, text in vars(args).items()
+                                    if key in _PARSERS and text is not None})
     try:
         # a --config path is read as a file even when it is named like a preset
         config = preset_config(args.preset) if args.preset else read_config(args.config)

@@ -9,11 +9,12 @@ problem before reporting, so a bad file is diagnosed in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from os import PathLike
 
 from .analysis import power_grid
 from .ber import BerMethod
-from .channel import LinkParams
+from .channel import LinkParams, check_link_field, derive
 from .errors import ConfigError, check_integer, check_members, check_threshold, refuse
 
 DEFAULT_FEC_THRESHOLD = 3.84e-3
@@ -72,10 +73,13 @@ def _check_methods(methods) -> None:
     check_members("methods", methods, BerMethod)
 
 
-# RunConfig field -> the check of its value, in field order; each raises
-# ValueError naming the field
+# field -> the check of its value: the LinkParams fields, then the RunConfig
+# fields, each in field order; each raises ValueError naming the field
 _CHECKS = {
-    "link": lambda link: isinstance(link, LinkParams) or refuse("link", "a LinkParams", link),
+    **{key: partial(check_link_field, key) for key in _LINK_KEYS},
+    # derive's refusals are ValueErrors; a beam waist past ~1e154 m overflows it
+    "link": lambda link: (derive(link) if isinstance(link, LinkParams)
+                          else refuse("link", "a LinkParams", link)),
     "sweep": _check_sweep,
     "methods": _check_methods,
     "mc_trials": lambda n: check_integer("mc_trials", n, 1),
@@ -88,15 +92,17 @@ _CHECKS = {
 
 
 def _run_problems(values: dict) -> list[str]:
-    """Every problem of the RunConfig fields in ``values``, in field order; an
-    absent field takes RunConfig's default, which passes. RunConfig, a config
-    file's run keys and the CLI's options are all checked here."""
+    """Every problem of the fields in ``values``, in table order; an absent
+    field is not checked. Flat link values that all pass (they come first, so
+    no problem yet) are joined into ``values["link"]`` before its check."""
     problems = []
     for name, check in _CHECKS.items():
+        if name == "link" and not problems and all(key in values for key in _LINK_KEYS):
+            values["link"] = LinkParams(**{key: values.pop(key) for key in _LINK_KEYS})
         if name in values:
             try:
                 check(values[name])
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 problems.append(str(exc))
     return problems
 
@@ -122,7 +128,7 @@ def parse_sweep(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
-# config-file key -> parser of its value text; every link field is a float
+# config key -> parser of its value text; every link field is a float
 _PARSERS = {
     **{key: float for key in _LINK_KEYS},
     "sweep": parse_sweep,
@@ -133,6 +139,22 @@ _PARSERS = {
     "output_path": str,
     "workers": int,
 }
+
+
+def parse_values(texts: dict[str, str]) -> tuple[dict, list[str]]:
+    """Parse each key's value text and check the values: a config file's keys
+    and the CLI's option values alike. Returns the values and every problem,
+    each worded ``<key>: <cause>``."""
+    values, problems = {}, []
+    for key, text in texts.items():
+        if key not in _PARSERS:
+            problems.append(f"unknown key {key!r}")
+            continue
+        try:
+            values[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
+    return values, problems + _run_problems(values)
 
 
 def preset_config(name: str) -> RunConfig:
@@ -157,32 +179,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             continue
         raw[key] = value
 
-    link_kwargs = {}
-    run_kwargs = {}
-    for key, value in raw.items():
-        if key not in _PARSERS:
-            problems.append(f"{origin}: unknown key {key!r}")
-            continue
-        try:
-            (link_kwargs if key in _LINK_KEYS else run_kwargs)[key] = _PARSERS[key](value)
-        except ValueError as exc:
-            problems.append(f"{origin}: field {key!r}: {exc}")
-
-    missing = [key for key in _LINK_KEYS if key not in link_kwargs]
+    missing = [key for key in _LINK_KEYS if key not in raw]
     if missing:
         problems.append(f"{origin}: missing required link fields: {', '.join(missing)}")
-
-    # validate the link and the run fields even when other fields are broken,
-    # so every problem surfaces in one pass
-    if not missing:
-        try:
-            run_kwargs["link"] = LinkParams(**link_kwargs)
-        except ValueError as exc:
-            problems.append(f"{origin}: {exc}")
-    problems.extend(f"{origin}: {p}" for p in _run_problems(run_kwargs))
+    values, found = parse_values(raw)
+    problems += (f"{origin}: {p}" for p in found)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(**run_kwargs)
+    return RunConfig(**values)
 
 
 def read_config(path: str) -> RunConfig:
@@ -190,6 +194,6 @@ def read_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"])
     return parse_config_text(text, origin=path)

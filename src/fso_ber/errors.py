@@ -3,6 +3,7 @@ raises ``ValueError("<name>: must be ... (got <value>)")``, naming the argument.
 
 import math
 import numbers
+import sys
 from typing import NoReturn
 
 
@@ -58,8 +59,10 @@ def check_integer(name: str, value, least: int) -> None:
 
 
 def check_number(name: str, value, least: float = -math.inf) -> None:
-    """Refuse ``value`` unless it is a finite real number >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Refuse ``value`` unless it is a finite real number >= ``least``; an int
+    beyond the float range is not finite here, as it has no float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
         refuse(name, "a finite number", value)
     if value < least:
         refuse(name, f">= {least:g}", value)

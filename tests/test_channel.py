@@ -108,7 +108,7 @@ def test_pointing_std_must_be_positive_and_finite():
         out_of_range = (-1.0, 1.5) if name == "rytov_variance" else (-1.0,)
         zero = () if name == "attenuation_db_per_km" else (0.0, 0)
         for value in (None, "0.1", True, False, math.nan, math.inf, -math.inf,
-                      *out_of_range, *zero):
+                      10**400, -10**400, *out_of_range, *zero):
             with pytest.raises(ValueError, match=name):
                 LinkParams(**{**PRESETS["case1"], name: value})
         # numpy scalars and ints are numbers
@@ -117,6 +117,12 @@ def test_pointing_std_must_be_positive_and_finite():
     with pytest.raises(RegimeError, match=r"^rytov_variance = 0 outside the weak-turbulence"):
         LinkParams(**{**PRESETS["case1"], "rytov_variance": 0})
     LinkParams(**{**PRESETS["case1"], "attenuation_db_per_km": 0.0})
+
+
+def test_link_params_raise_at_the_first_bad_field():
+    # a RunConfig or a config file names every bad field; the constructor the first
+    with pytest.raises(ValueError, match=r"^noise_std: must be > 0 \(got -1e-07\)$"):
+        LinkParams(**{**PRESETS["case1"], "noise_std": -1e-7, "rytov_variance": 2})
 
 
 def test_pdf_zero_outside_support(deriveds):

@@ -224,6 +224,64 @@ def test_cli_checks_option_values_in_the_same_pass_as_a_bad_file(tmp_path, capsy
     assert not out.exists()
 
 
+def _case1_file(path, **lines):
+    # case1's link, each of ``lines`` replacing its key's line (None drops it)
+    link = {**preset_config("case1").link.__dict__, **lines}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in link.items() if v is not None))
+    return str(path)
+
+
+@pytest.mark.parametrize("lines, named", [
+    (dict(noise_std="-1e-7", rytov_variance="2"),
+     ["noise_std: must be > 0 (got -1e-07)", "rytov_variance = 2.0 outside the weak-turbulence"]),
+    (dict(noise_std=None, rytov_variance="2"),
+     ["missing required link fields: noise_std",
+      "rytov_variance = 2.0 outside the weak-turbulence"]),
+    (dict(noise_std="abc"), ["noise_std: could not convert string to float: 'abc'"]),
+    (dict(aperture_radius_m="3"),
+     ["aperture radius 3.0 m must be smaller than the beam waist 1.98 m"]),
+    (dict(mc_trials="abc"), ["mc_trials: invalid literal for int() with base 10: 'abc'"]),
+], ids=["two-bad-link-values", "missing-and-bad", "unparsed", "aperture", "bad-run-value"])
+def test_cli_names_every_problem_of_a_file_once(lines, named, tmp_path, capsys, monkeypatch):
+    import fso_ber.cli
+
+    def no_run(config):
+        raise AssertionError("run started with an invalid configuration")
+
+    monkeypatch.setattr(fso_ber.cli, "run", no_run)
+    out = tmp_path / "o"
+    code = main(["run", "--config", _case1_file(tmp_path / "bad.cfg", **lines),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fso-ber: invalid configuration:\n")
+    assert err.count("\n  - ") == len(named)
+    for text in named:
+        assert err.count(text) == 1
+    assert not out.exists()
+
+
+def test_cli_words_a_bad_value_alike_from_a_file_and_an_option(tmp_path, capsys):
+    path = _case1_file(tmp_path / "bad.cfg", mc_trials="abc")
+    cause = "mc_trials: invalid literal for int() with base 10: 'abc'"
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.endswith(f"  - {path}: {cause}\n")
+    assert main(["run", "--preset", "case1", "--mc-trials", "abc",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.endswith(f"  - {cause}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "x.cfg"
+    path.write_bytes(b"wavelength_nm = 1550\xff\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"cannot read config {str(path)!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_names_a_jitter_angle_line_an_unknown_key(tmp_path, capsys):
     # the pointing jitter is given as a displacement only:
     # pointing_std_m = jitter_angle_mrad * link_length_km

@@ -138,6 +138,37 @@ def test_run_fields_checked_with_a_missing_link_field():
     assert "mc_trials" in problems[1]
 
 
+@pytest.mark.parametrize("link, problem", [
+    ("aperture_radius_m = 3", "aperture radius 3.0 m must be smaller than the beam waist 1.98 m"),
+    ("attenuation_db_per_km = 1e300", "the peak gain A0 h_l underflows to 0 at "),
+], ids=["aperture", "underflow"])
+def test_a_link_that_derive_refuses_is_named_with_the_run_fields(link, problem):
+    key = link.split(" = ")[0]
+    bad = (GOOD_CONFIG.replace(f"{key} = {PRESETS['case1'][key]}", link)
+           .replace("mc_trials = 250000", "mc_trials = 0"))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(bad, origin="cfg")
+    problems = excinfo.value.problems
+    assert len(problems) == 2
+    assert problems[0].startswith(f"cfg: {problem}")
+    assert problems[1] == "cfg: mc_trials: must be >= 1 (got 0)"
+
+
+def test_runconfig_refuses_a_link_that_derive_refuses():
+    link = LinkParams(**{**PRESETS["case1"], "aperture_radius_m": 3.0})
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(link=link)
+    assert excinfo.value.problems == [
+        "aperture radius 3.0 m must be smaller than the beam waist 1.98 m"]
+
+
+def test_runconfig_reports_a_link_whose_derivation_overflows():
+    # the squared beam waist overflows in derive: a problem of the link, not a crash
+    link = LinkParams(**{**PRESETS["case1"], "beam_waist_m": 1e200, "aperture_radius_m": 1e199})
+    with pytest.raises(ConfigError):
+        RunConfig(link=link)
+
+
 def test_read_config_from_file(tmp_path):
     path = tmp_path / "link.cfg"
     path.write_text(GOOD_CONFIG)
@@ -259,5 +290,6 @@ def test_runconfig_rejects_a_sweep_with_too_many_points():
 def test_every_config_field_has_a_parser():
     run_fields = {f.name for f in fields(RunConfig)} - {"link"}
     assert set(_PARSERS) == {f.name for f in fields(LinkParams)} | run_fields
-    # and every RunConfig field one check, listed in field order
-    assert list(_CHECKS) == [f.name for f in fields(RunConfig)]
+    # and one check each: the link fields, then the RunConfig fields, in field order
+    assert list(_CHECKS) == ([f.name for f in fields(LinkParams)]
+                             + [f.name for f in fields(RunConfig)])

@@ -176,7 +176,10 @@ def test_tolerance_validation():
 
 
 @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
-@pytest.mark.parametrize("value", [True, False, "1e-9", None, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("value", [True, False, "1e-9", None, math.inf, math.nan,
+                                   # no float holds it: math.isfinite would overflow
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")], ids=repr)
 def test_tolerance_refuses_a_value_that_is_not_a_finite_number(field, value):
     with pytest.raises(ValueError, match=rf"^{field}: must be a finite number \(got "):
         Tolerance(**{field: value})
