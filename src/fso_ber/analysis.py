@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .ber import BerMethod, ber_approx_new, ber_approx_prev, ber_exact
 from .channel import DerivedParams, LinkParams, dbm_to_watts
-from .errors import BracketError, NonMonotoneError, check_integer, check_members, check_threshold
+from .errors import (BracketError, NonMonotoneError, check_integer, check_members, check_number,
+                     check_positive, check_threshold, refuse)
 from .montecarlo import McEstimate, mc_ber
 
 _ANALYTIC = {
@@ -45,12 +46,11 @@ class CrossingReport:
 
 
 def power_grid(lo: float, hi: float, step: float) -> list[float]:
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValueError(f"sweep: lo, hi and step must be finite (got {lo!r}, {hi!r}, {step!r})")
-    if not (lo < hi):
-        raise ValueError(f"sweep: lo must be < hi (got {lo!r} .. {hi!r})")
-    if not (step > 0):
-        raise ValueError(f"sweep: step must be positive (got {step!r})")
+    check_number("sweep: lo", lo)
+    check_number("sweep: hi", hi)
+    if not lo < hi:
+        refuse("sweep: hi", f"> lo = {lo!r}", hi)
+    check_positive("sweep: step", step)
     span = (hi - lo) / step
     if not math.isfinite(span):
         raise ValueError(f"sweep: step {step!r} is too small for {lo!r} .. {hi!r}")
@@ -60,6 +60,12 @@ def power_grid(lo: float, hi: float, step: float) -> list[float]:
             f"sweep: {n:.6g} points from {lo!r} .. {hi!r} at step {step!r}; "
             f"at most {_MAX_POINTS} are allowed"
         )
+    top = lo + (n - 1) * step
+    try:
+        dbm_to_watts(top)
+    except OverflowError:
+        refuse("sweep: top power", "at most about 3112.547 dBm, past which its watts "
+               "overflow a float", top)
     return [lo + i * step for i in range(n)]
 
 

@@ -41,14 +41,8 @@ import enum
 import math
 from dataclasses import replace
 
-from .channel import (
-    DerivedParams,
-    LinkParams,
-    check_power,
-    log_gain_window,
-    weighted_log_gain_density,
-)
-from .errors import NonConvergenceError, RegimeError
+from .channel import DerivedParams, LinkParams, log_gain_window, weighted_log_gain_density
+from .errors import NonConvergenceError, RegimeError, check_number, check_positive
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
 from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel
 
@@ -72,14 +66,14 @@ class BerMethod(enum.Enum):
 
 def _snr_scale(p_watts: float, link: LinkParams) -> float:
     """c such that u = c * h in the conditional BER."""
-    check_power(p_watts)
-    return link.responsivity_a_per_w * p_watts / math.sqrt(2.0 * link.noise_std**2)
+    check_positive("p_watts", p_watts)
+    # sqrt(2 noise_std^2), without squaring's overflow and underflow
+    return link.responsivity_a_per_w * p_watts / math.hypot(link.noise_std, link.noise_std)
 
 
 def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams) -> float:
     """BER for a known channel gain h under midpoint-threshold detection."""
-    if not 0.0 <= h < math.inf:
-        raise ValueError(f"channel gain must be finite and >= 0, got {h!r}")
+    check_number("h", h, 0.0)
     return 0.5 * math.erfc(_snr_scale(p_watts, link) * h)
 
 
@@ -136,6 +130,10 @@ def _ber_average(
 ) -> float:
     """The kernel's BER integrand integrated over the v window from ``start`` on."""
     c = _snr_scale(p_watts, link)
+    if c * d.a0_h_l == 0.0:  # it has no logarithm
+        raise RegimeError(f"R P A0 h_l / (sqrt(2) noise_std) underflows to 0 at p_watts = "
+                          f"{p_watts!r}, responsivity_a_per_w = {link.responsivity_a_per_w!r} "
+                          f"and noise_std = {link.noise_std!r}")
     f = weighted_log_gain_density(d, kernel, c, kernel.e_pos)
     return _integrate_segments(f, _v_breakpoints(d, c, start), tol or DEFAULT_TOLERANCE)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import GeometryError, RegimeError, check_number, refuse
+from .errors import GeometryError, RegimeError, check_number, check_positive
 from .special import EXACT_KERNEL, Kernel
 
 # log_gain_window drops at most exp(-_TAIL) of the mass below its lower end
@@ -31,12 +31,6 @@ _SQRT_TAIL = math.sqrt(_TAIL)
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def check_power(p_watts: float) -> None:
-    """Raise ValueError unless the transmit power ``p_watts`` is positive and finite."""
-    if not (p_watts > 0 and math.isfinite(p_watts)):
-        raise ValueError(f"transmit power must be positive and finite, got {p_watts!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,8 @@ def check_link_field(name: str, value) -> None:
                           "regime (0, 1] this model covers")
     if name == "attenuation_db_per_km":
         check_number(name, value, 0.0)
-    elif not value > 0.0:
-        refuse(name, "> 0", value)
+    else:
+        check_positive(name, value)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,8 @@ def derive(params: LinkParams) -> DerivedParams:
     Raises :class:`GeometryError` when the aperture is not small against the
     beam (a >= omega_z), where the equivalent-beam pointing model breaks down,
     and :class:`RegimeError` when the peak gain A0 h_l underflows to 0, where
-    no gain has a logarithm and every BER method would fail.
+    no gain has a logarithm and every BER method would fail, or when beta is
+    0, inf or so small that 120 / beta overflows, as then no window is finite.
     """
     if params.aperture_radius_m >= params.beam_waist_m:
         raise GeometryError(
@@ -129,16 +124,19 @@ def derive(params: LinkParams) -> DerivedParams:
             f"aperture_radius_m = {params.aperture_radius_m!r} and "
             f"beam_waist_m = {params.beam_waist_m!r}"
         )
-    omega_z_eq_sq = (
-        params.beam_waist_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
-    )
+    try:
+        omega_z_eq_sq = (
+            params.beam_waist_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
+        )
+    except OverflowError:  # a waist past about 1.3e154 m; beta is then inf
+        omega_z_eq_sq = math.inf
     omega_z_eq = math.sqrt(omega_z_eq_sq)
     gamma = omega_z_eq / (2.0 * params.pointing_std_m)
     gamma_sq = gamma * gamma
     sigma_x_sq = params.rytov_variance / 4.0
     mu = 2.0 * sigma_x_sq * (1.0 + 2.0 * gamma_sq)
     h_hat = a0 * h_l * math.exp(-mu)
-    return DerivedParams(
+    d = DerivedParams(
         h_l=h_l,
         v=v,
         a0=a0,
@@ -149,6 +147,14 @@ def derive(params: LinkParams) -> DerivedParams:
         mu=mu,
         h_hat=h_hat,
     )
+    if not (0.0 < d.beta < math.inf and _TAIL / d.beta < math.inf):  # see log_gain_window
+        raise RegimeError(
+            f"beta = {d.beta!r} has no finite log-gain window at pointing_std_m = "
+            f"{params.pointing_std_m!r}, rytov_variance = {params.rytov_variance!r}, "
+            f"beam_waist_m = {params.beam_waist_m!r} and aperture_radius_m = "
+            f"{params.aperture_radius_m!r}"
+        )
+    return d
 
 
 def log_gain_of(h: float, d: DerivedParams) -> float:
@@ -230,6 +236,7 @@ def log_gain_pdf(v: float, d: DerivedParams) -> float:
 
 def pdf_h(h: float, d: DerivedParams) -> float:
     """Composite channel-gain density at gain h; zero for h <= 0."""
+    check_number("h", h)
     if h <= 0.0:
         return 0.0
     return log_gain_pdf(log_gain_of(h, d), d) / (h * d.log_gain_scale)

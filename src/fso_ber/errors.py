@@ -49,7 +49,7 @@ def refuse(name: str, what: str, value) -> NoReturn:
 
 
 # numpy's scalars pass the number checks below; bool is a number to Python,
-# but no count, seed, rate or threshold, so they refuse it
+# but no input of this package, so they refuse it
 def check_integer(name: str, value, least: int) -> None:
     """Refuse ``value`` unless it is an integer >= ``least``: a count or a seed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -61,11 +61,19 @@ def check_integer(name: str, value, least: int) -> None:
 def check_number(name: str, value, least: float = -math.inf) -> None:
     """Refuse ``value`` unless it is a finite real number >= ``least``; an int
     beyond the float range is not finite here, as it has no float."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max):
+    # a float skips the ABC check, which costs ten times the rest
+    if not ((type(value) is float or isinstance(value, numbers.Real)
+             and not isinstance(value, bool)) and abs(value) <= sys.float_info.max):
         refuse(name, "a finite number", value)
     if value < least:
         refuse(name, f">= {least:g}", value)
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite number > 0."""
+    check_number(name, value)
+    if not value > 0.0:
+        refuse(name, "> 0", value)
 
 
 def check_threshold(name: str, value) -> None:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedParams, LinkParams, check_power
-from .errors import check_integer
+from .channel import DerivedParams, LinkParams
+from .errors import check_integer, check_positive, refuse
 
 # fixed sub-batch size; part of the determinism contract. The buffers of one
 # thread (two float batches and one bool batch, about 0.85 MB) fit in a core's
@@ -116,8 +116,9 @@ def sample_h(d: DerivedParams, n: int, seed: int) -> np.ndarray:
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """99% Wilson score interval; stays valid at very low error counts."""
     check_integer("trials", trials, 1)
-    if not 0 <= errors <= trials:
-        raise ValueError(f"errors must be in [0, trials], got {errors!r}")
+    check_integer("errors", errors, 0)
+    if errors > trials:
+        refuse("errors", f"<= trials = {trials!r}", errors)
     z = WILSON_Z99
     p = errors / trials
     z2n = z * z / trials
@@ -202,7 +203,7 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
 
 def _threshold(p_watts: float, link: LinkParams) -> float:
     """The threshold snr = R P / sigma_n that a trial's n / h must exceed to err."""
-    check_power(p_watts)
+    check_positive("p_watts", p_watts)
     return link.responsivity_a_per_w * p_watts / link.noise_std
 
 
@@ -224,7 +225,7 @@ def mc_ber(
     single = np.ndim(p_watts) == 0
     snr = [_threshold(p, link) for p in ([p_watts] if single else p_watts)]
     if any(b < a for a, b in zip(snr, snr[1:])):
-        raise ValueError("Monte Carlo powers must be non-decreasing")
+        refuse("p_watts", "non-decreasing", p_watts)
     estimates = []
     for errors in _error_counts(snr, d, trials, seed):
         ci_low, ci_high = wilson_interval(errors, trials)

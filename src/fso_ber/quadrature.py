@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import IntegrandError, check_number
+from .errors import IntegrandError, check_number, refuse
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; the rule is symmetric)
 # and the matching Kronrod / embedded 7-point Gauss weights.
@@ -198,10 +198,10 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> Quadrature
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration limits must be finite (got {a!r}, {b!r})")
+    check_number("a", a)
+    check_number("b", b)
     if not a < b:
-        raise ValueError(f"integration requires a < b (got {a!r}, {b!r})")
+        refuse("b", f"> a = {a!r}", b)
 
     value, err = _rule(f, a, b)
     evaluations = 15

@@ -22,6 +22,8 @@ from typing import Callable, NamedTuple
 
 from scipy.special import cython_special
 
+from .errors import check_number
+
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _FOUR_OVER_PI = 4.0 / math.pi
@@ -55,8 +57,7 @@ def erfc_approx(z: float) -> float:
     so that large negative arguments saturate instead of overflowing the
     exponential. Both branches equal 1 at z = 0.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"erfc_approx argument must be finite, got {z!r}")
+    check_number("z", z)
     if z >= 0.0:
         return _erfc_approx_pos(z)
     return _erfc_approx_neg(z)

@@ -159,7 +159,7 @@ def test_sweep_annotates_a_monte_carlo_power_that_underflows(links, deriveds):
     # -4000 dBm is 0.0 W in floating point; one mc_ber call decides the whole
     # grid, so the failure names the method, the grid's span and the power
     match = (r"^mc failed at P = -4000 \.\. -3990 dBm: "
-             r"transmit power must be positive and finite, got 0\.0$")
+             r"p_watts: must be > 0 \(got 0\.0\)$")
     with pytest.raises(ValueError, match=match):
         sweep({BerMethod.MONTE_CARLO}, (-4000.0, -3990.0, 5.0), deriveds["case1"],
               links["case1"], mc_trials=1_000, seed=1)

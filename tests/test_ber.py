@@ -384,6 +384,25 @@ def test_ber_invariant_under_joint_power_and_noise_scaling(
                         BER_FN[method](p, derive(link), link), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("noise_std, ber", [(1e-200, 0.0), (1e200, 0.5)])
+def test_a_noise_whose_square_leaves_the_float_range_computes(noise_std, ber):
+    # sqrt(2 noise_std^2) squared first: "float division by zero" at 1e-200,
+    # "Numerical result out of range" at 1e200
+    link = LinkParams(**{**PRESETS["case1"], "noise_std": noise_std})
+    assert ber_exact(1e-3, derive(link), link) == pytest.approx(ber, abs=1e-15)
+
+
+def test_a_detection_scale_that_underflows_is_refused_by_name():
+    # c A0 h_l = 0 has no logarithm: this failed with "math domain error"
+    link = LinkParams(**{**PRESETS["case1"], "responsivity_a_per_w": 5e-324})
+    message = ("R P A0 h_l / (sqrt(2) noise_std) underflows to 0 at p_watts = 0.001, "
+               "responsivity_a_per_w = 5e-324 and noise_std = 1e-07")
+    for fn in (ber_exact, ber_approx_new, ber_approx_prev):
+        with pytest.raises(RegimeError) as excinfo:
+            fn(1e-3, derive(link), link)
+        assert str(excinfo.value) == message
+
+
 def test_analytic_path_returns_python_floats(links, deriveds):
     # numpy.float64 subclasses float, so isinstance would not tell them apart
     link, d = links["case2"], deriveds["case2"]

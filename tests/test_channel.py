@@ -101,6 +101,25 @@ def test_derive_refuses_a_peak_gain_that_underflows(fields):
     assert edge.h_l == 1e-300 and edge.a0_h_l > 0.0
 
 
+@pytest.mark.parametrize("fields", [
+    dict(pointing_std_m=1e200),  # gamma^2 underflows, so beta = 0
+    dict(rytov_variance=5e-324),  # sigma_X^2 = rytov / 4 underflows, so beta = 0
+    dict(pointing_std_m=1e155),  # beta = 4.4e-311, and 120 / beta overflows
+    dict(pointing_std_m=1e-200),  # gamma^2 overflows, so beta = inf
+    dict(beam_waist_m=1e200, aperture_radius_m=1e199),  # the waist squared overflows
+], ids=repr)
+def test_derive_refuses_a_beta_that_leaves_no_finite_window(fields):
+    # each BER method failed with "float division by zero", "integration limits
+    # must be finite" or, from derive itself, "Numerical result out of range"
+    match = r"^beta = .* has no finite log-gain window at "
+    with pytest.raises(RegimeError, match=match) as excinfo:
+        derive(LinkParams(**{**PRESETS["case1"], **fields}))
+    for name in ("pointing_std_m", "rytov_variance", "beam_waist_m", "aperture_radius_m"):
+        assert f"{name} = " in str(excinfo.value)
+    for name, value in fields.items():
+        assert f"{name} = {value!r}" in str(excinfo.value)
+
+
 def test_pointing_std_must_be_positive_and_finite():
     # and so must every other field, with 0 allowed for attenuation alone and
     # rytov_variance held to (0, 1]; the error names the field

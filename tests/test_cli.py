@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
+import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fso_ber import RunConfig, derive, runner
+from fso_ber import PRESETS, RunConfig, derive, runner
 from fso_ber.ber import BerMethod
 from fso_ber.cli import main
 from fso_ber.config import parse_sweep, preset_config
@@ -389,6 +395,66 @@ def test_cli_non_finite_sweep_rejected_before_any_work(sweep, tmp_path, capsys, 
     assert code == 2
     assert "sweep" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_refuses_a_sweep_whose_top_power_has_no_watts(tmp_path, capsys):
+    # this exited 1 with "exact failed at P = 4000 dBm: (34, 'Numerical result
+    # out of range')" after the work of the lower points
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "case1", "--sweep=0:4000:1000", "--out", str(out)])
+    assert code == 2
+    assert "  - sweep: top power: must be at most about 3112.547 dBm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_link_whose_beta_is_zero_before_any_work(tmp_path, capsys):
+    # this exited 1 with "exact failed at P = -4 dBm: float division by zero"
+    out = tmp_path / "o"
+    code = main(["run", "--config", _case1_file(tmp_path / "bad.cfg", pointing_std_m="1e200"),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "beta = 0.0 has no finite log-gain window at pointing_std_m = 1e+200" in err
+    assert not out.exists()
+
+
+# the texts a config value is drawn from: ordinary values, ints no float
+# holds, the float range's edges and bytes that are not UTF-8
+_TEXTS = [b"0.1", b"0.35", b"3", b"1e-7", b"1" + b"0" * 400, b"-" + b"9" * 400, b"nan",
+          b"inf", b"-inf", b"-1e308", b"0", b"-1", b"\xff", b"1e-7\xc3\x28"]
+# drawn as often as all of the above: numbers a link field accepts, at the
+# float range's edges
+_EDGES = [b"1e308", b"1.7976931348623157e308", b"1e-308", b"5e-324"]
+_KEYS = [*PRESETS["case1"], "mc_trials", "seed", "fec_threshold", "workers"]
+_BARE_CAUSES = ("division by zero", "math domain error", "Numerical result out of range",
+                "int too large")
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.dictionaries(st.sampled_from(_KEYS),
+                      st.one_of(st.sampled_from(_EDGES), st.sampled_from(_TEXTS)),
+                      min_size=1, max_size=3))
+def test_cli_ends_every_config_in_a_named_outcome(texts):
+    # case1's file with up to three keys' values drawn: it either runs, fails
+    # naming its cause, or is refused naming a key or the file
+    texts = {**{key: repr(value).encode() for key, value in PRESETS["case1"].items()}, **texts}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "drawn.cfg"), os.path.join(tmp, "o")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(key.encode() + b" = " + text + b"\n" for key, text in texts.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", path, "--methods", "exact", "--sweep", "0:2:1",
+                         "--out", out])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        if code == 2:
+            problems = err.split("\n  - ")[1:]
+            assert problems, err
+            assert all(path in p or any(key in p for key in texts) for p in problems), err
+        if code == 1:
+            assert not any(cause in err for cause in _BARE_CAUSES), err
+        assert os.path.exists(out) == (code == 0)
 
 
 @pytest.mark.parametrize("option, value, field", [

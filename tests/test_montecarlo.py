@@ -215,7 +215,7 @@ def test_mc_ber_over_no_powers_checks_trials_and_draws_nothing(links, deriveds, 
 
 
 def test_mc_ber_over_powers_checks_every_power(links, deriveds):
-    with pytest.raises(ValueError, match="positive and finite, got inf"):
+    with pytest.raises(ValueError, match=r"^p_watts: must be a finite number \(got inf\)$"):
         mc_ber([1e-3, math.inf], deriveds["case1"], links["case1"], trials=100, seed=1)
 
 
