@@ -74,7 +74,8 @@ def _snr_scale(p_watts: float, link: LinkParams) -> float:
 def ber_conditional(h: float, p_watts: float, d: DerivedParams, link: LinkParams) -> float:
     """BER for a known channel gain h under midpoint-threshold detection."""
     check_number("h", h, 0.0)
-    return 0.5 * math.erfc(_snr_scale(p_watts, link) * h)
+    c = _snr_scale(p_watts, link)
+    return 0.5 * math.erfc(c * h) if h else 0.5  # c may be inf, and inf * 0 is nan
 
 
 def _v_breakpoints(d: DerivedParams, c: float, start: float = -math.inf) -> list[float]:

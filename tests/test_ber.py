@@ -384,12 +384,15 @@ def test_ber_invariant_under_joint_power_and_noise_scaling(
                         BER_FN[method](p, derive(link), link), rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("noise_std, ber", [(1e-200, 0.0), (1e200, 0.5)])
+@pytest.mark.parametrize("noise_std, ber", [(5e-324, 0.0), (1e-200, 0.0), (1e200, 0.5)])
 def test_a_noise_whose_square_leaves_the_float_range_computes(noise_std, ber):
     # sqrt(2 noise_std^2) squared first: "float division by zero" at 1e-200,
     # "Numerical result out of range" at 1e200
     link = LinkParams(**{**PRESETS["case1"], "noise_std": noise_std})
-    assert ber_exact(1e-3, derive(link), link) == pytest.approx(ber, abs=1e-15)
+    d = derive(link)
+    assert ber_exact(1e-3, d, link) == pytest.approx(ber, abs=1e-15)
+    # no gain is no signal, even where the scale c is inf
+    assert ber_conditional(0.0, 1e-3, d, link) == 0.5
 
 
 def test_a_detection_scale_that_underflows_is_refused_by_name():
