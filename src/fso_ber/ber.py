@@ -41,8 +41,10 @@ import enum
 import math
 from dataclasses import replace
 
-from .channel import DerivedParams, LinkParams, log_gain_window, weighted_log_gain_density
-from .errors import NonConvergenceError, RegimeError, check_number, check_positive
+from .channel import (DerivedParams, LinkParams, gain_of, log_gain_window,
+                      weighted_log_gain_density)
+from .errors import (IntegrandError, NonConvergenceError, RegimeError, check_number,
+                     check_positive)
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
 from .special import APPROX_KERNEL, ASYMPTOTIC_KERNEL, EXACT_KERNEL, Kernel
 
@@ -174,7 +176,7 @@ def ber_approx_prev(
     endpoint it behaves as K / v with K = (beta / (4 pi)) exp(-beta^2/4 - u0^2)
     / u0 and u0 = c h_hat, so the integral diverges logarithmically: each
     halving of a lower cut-off adds K ln 2. The quadrature's error estimate on
-    an endpoint interval of K / v is about 11.8 K ln 2 however narrow the
+    an endpoint interval of K / v is about 15.4 K ln 2 however narrow the
     interval, so where that exceeds the tolerance target, bisection toward
     v = 0 adds error instead of removing it, and the quadrature's stall stop
     (see :func:`fso_ber.quadrature.integrate`) ends it within a few dozen
@@ -192,7 +194,10 @@ def ber_approx_prev(
 
     At low power the kernel 1/(u sqrt(pi)), unbounded as u -> 0, can carry the
     integral above 0.5; such a result raises :class:`RegimeError` instead of
-    being returned as a BER.
+    being returned as a BER. So does a u so small on the window that the
+    kernel overflows: u = 0 has no 1/u, and a subnormal u makes 1/u, or 1/u
+    times the density's 1/v, exceed the float range. The smallest u is at the
+    window's start, v = max(0, lo).
     """
     b = d.beta
     prefactor = b / (4.0 * math.pi)
@@ -209,6 +214,15 @@ def ber_approx_prev(
         raise NonConvergenceError(
             "the integrand is log-divergent at its lower endpoint; its K/v term adds "
             f"K ln 2 = {k * _LN2:.3e} per halving of the lower cut-off; {exc}"
+        ) from None
+    except (IntegrandError, ZeroDivisionError):  # the 1/u kernel, at u = c h near 0
+        v = max(0.0, log_gain_window(d)[0])
+        u = _snr_scale(p_watts, link) * gain_of(v, d)
+        raise RegimeError(
+            f"the legacy 1/u kernel overflows where u = R P h / (sqrt(2) noise_std) is smallest "
+            f"on the window, u = {u!r} at v = {v!r}, at p_watts = {p_watts!r}, "
+            f"responsivity_a_per_w = {link.responsivity_a_per_w!r}, noise_std = "
+            f"{link.noise_std!r} and A0 h_l = {d.a0_h_l!r}"
         ) from None
     if value > 0.5:
         raise RegimeError(

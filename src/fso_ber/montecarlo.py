@@ -145,10 +145,10 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     marks those k trials, copies their r into the free noise buffer and sorts
     them, and ``k - searchsorted(tail, s, side="right")`` is the number of
     them above s. A tie r == s does not err, and ``side="right"`` keeps it
-    so. A gain that underflows to 0 gives r = +-inf, which errs at every
-    threshold when n > 0 and at none when n < 0; r = 0/0 = nan fails
-    r > snr[0], so it is counted nowhere, as n > s h is false for n = h = 0.
-    An empty ``snr`` draws nothing.
+    so. A gain that underflows to 0, or is so small that n / h overflows,
+    gives r = +-inf, which errs at every threshold when n > 0 and at none
+    when n < 0; r = 0/0 = nan fails r > snr[0], so it is counted nowhere, as
+    n > s h is false for n = h = 0. An empty ``snr`` draws nothing.
 
     Of the T = ``min(cpus, batches)`` threads, the calling thread and T - 1
     helpers of a ``concurrent.futures`` pool, thread t decides batches t,
@@ -172,7 +172,7 @@ def _error_counts(snr: Sequence[float], d: DerivedParams, trials: int, seed: int
     def work(first: int, h: np.ndarray, e: np.ndarray, above: np.ndarray) -> np.ndarray:
         counts = np.zeros(snr.size, dtype=np.int64)
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):  # per thread
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # per thread
                 for i in range(first, batches, len(buffers)):
                     if stop.is_set():
                         break

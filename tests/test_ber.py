@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from fso_ber.channel import gain_of, log_gain_window
 from fso_ber.channel import log_gain_pdf, pdf_h
 from fso_ber.errors import RegimeError
 from fso_ber.quadrature import integrate
+
+from ez_reference import POINTS as EZ_POINTS
 
 HALF_ERFC_1 = 0.07864960352514257  # (1/2) erfc(1)
 
@@ -243,15 +246,15 @@ def test_split_kernel_continuity_at_branch_point():
 # where it raises). exact must reproduce these bit for bit; the approximations
 # may move in the last digits with the rounding of their kernels.
 PINNED = {
-    ("case1", -2.0): ("0x1.4d7d64d063dd7p-7", "0x1.6a5f77438cc9ap-7", None),
-    ("case1", 4.0): ("0x1.8c5de86a1ae09p-20", "0x1.98e330aa975b7p-20", None),
-    ("case1", 10.0): ("0x1.9f947458e927cp-36", "0x1.ad4281cb4512ap-36", "0x1.3ad7a227549e0p-406"),
+    ("case1", -2.0): ("0x1.4d7d64d063dd4p-7", "0x1.6a5f77438cc98p-7", None),
+    ("case1", 4.0): ("0x1.8c5de86a1ae09p-20", "0x1.98e330aa975b5p-20", None),
+    ("case1", 10.0): ("0x1.9f947458e20aep-36", "0x1.ad4281cb3d992p-36", "0x1.57a46ed2ae023p-404"),
     ("case2", -2.0): ("0x1.6e620ad3595f0p-5", "0x1.8334ca959f511p-5", "0x1.32a22fc610cbfp-4"),
-    ("case2", 4.0): ("0x1.01713c898cd44p-10", "0x1.0eee6ddb01544p-10", "0x1.588745d8b375fp-10"),
-    ("case2", 10.0): ("0x1.72829bef98b8fp-20", "0x1.83c0edf7e8ba2p-20", "0x1.c3e62bd199fa3p-20"),
-    ("case3", -2.0): ("0x1.47b692b4e8149p-4", "0x1.586a6cfc82067p-4", "0x1.640918e520709p-3"),
-    ("case3", 4.0): ("0x1.ce5f0f035b09cp-8", "0x1.e69fc83e6bd30p-8", "0x1.6feb6aa762909p-7"),
-    ("case3", 10.0): ("0x1.18c204dbc336ap-13", "0x1.26844e6b92d56p-13", "0x1.7ec5e9493c6fbp-13"),
+    ("case2", 4.0): ("0x1.01713c898cd46p-10", "0x1.0eee6ddb01546p-10", "0x1.588745d8b3762p-10"),
+    ("case2", 10.0): ("0x1.72829bef98b96p-20", "0x1.83c0edf7e8ba8p-20", "0x1.c3e62bd199faap-20"),
+    ("case3", -2.0): ("0x1.47b692b4e814bp-4", "0x1.586a6cfc8206bp-4", "0x1.640918e52070fp-3"),
+    ("case3", 4.0): ("0x1.ce5f0f035b096p-8", "0x1.e69fc83e6bd2ap-8", "0x1.6feb6aa762907p-7"),
+    ("case3", 10.0): ("0x1.18c204dbc3363p-13", "0x1.26844e6b92d4dp-13", "0x1.7ec5e9493c6f4p-13"),
 }
 
 
@@ -267,6 +270,22 @@ def test_pinned_values(case, p_dbm, links, deriveds):
             ber_approx_prev(p, d, link)
     else:
         assert ber_approx_prev(p, d, link) == pytest.approx(prev, rel=1e-13, abs=0.0)
+
+
+# the values tests/ez_reference.py prints for its POINTS: the closed-form
+# pointing integral averaged over turbulence at 40 digits, independent of the
+# package's log-gain variable, windows and quadrature
+EZ_REFERENCES = (9.33138277980653e-16, 3.71225618267627e-16, 1.02515703005311e-24)
+
+
+@pytest.mark.parametrize("point, reference", zip(EZ_POINTS, EZ_REFERENCES),
+                         ids=[f"{label}-{p_dbm}dBm" for label, _, p_dbm in EZ_POINTS])
+def test_exact_ber_matches_the_closed_form_reference(point, reference):
+    # below abs_tol = 1e-15, so only the rule's own accuracy holds these to rel_tol
+    _, fields, p_dbm = point
+    link = LinkParams(**fields)
+    assert ber_exact(dbm_to_watts(p_dbm), derive(link), link) == pytest.approx(
+        reference, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("case", ("case2", "case3"))
@@ -326,14 +345,13 @@ def test_approx_prev_above_half_raises_regime_error():
         sweep([BerMethod.APPROX_PREV], (-30.0, -26.0, 4.0), d, link)
 
 
-def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
-    # a link whose endpoint segment refines toward a pole: bisection stops once
-    # the error keeps growing, long before the abscissa reaches the subnormal
-    # range where the integrand overflows
+def test_approx_prev_non_shrinking_error_stops_early(links, deriveds, monkeypatch):
+    # case1's endpoint segment refines toward a pole (K ln 2 = 7.9e-3 at
+    # -4 dBm): bisection stops once the error keeps growing, long before the
+    # abscissa reaches the subnormal range where the integrand overflows
     from fso_ber import quadrature
 
-    link = LinkParams(**{**PRESETS["case1"], "pointing_std_m": 0.235, "rytov_variance": 0.26})
-    d = derive(link)
+    link, d = links["case1"], deriveds["case1"]
     rules = [0]
     rule = quadrature._rule
 
@@ -343,8 +361,25 @@ def test_approx_prev_non_shrinking_error_stops_early(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_rule", counting)
     with pytest.raises(NonConvergenceError, match=r"segment \[0, "):
-        ber_approx_prev(dbm_to_watts(-2.0), d, link)
+        ber_approx_prev(dbm_to_watts(-4.0), d, link)
     assert rules[0] <= 100
+
+
+@pytest.mark.parametrize("fields", [
+    # A0 h_l = 4.4e-321: u = c h underflows to 0 on the window, where 1/u has no value
+    {"aperture_radius_m": 1e-160, "noise_std": 0.3},
+    # u = 1.7e-307: 1/u is finite, but not once the density's 1/v multiplies it
+    {"noise_std": 1e300},
+    # u = 6.6e-318: 1/u overflows alone
+    {"aperture_radius_m": 1e-160},
+], ids=["u-zero", "u-times-density", "u-subnormal"])
+def test_approx_prev_refuses_a_kernel_that_overflows(fields):
+    link = LinkParams(**{**PRESETS["case1"], **fields})
+    with pytest.raises(RegimeError, match=(
+            r"^the legacy 1/u kernel overflows where u = R P h / \(sqrt\(2\) noise_std\) is "
+            r"smallest on the window, u = \S+ at v = 0\.0, at p_watts = 0\.001, "
+            rf"responsivity_a_per_w = 0\.5, noise_std = {re.escape(repr(link.noise_std))} and A0 h_l = ")):
+        ber_approx_prev(1e-3, derive(link), link)
 
 
 # links over the domain the model accepts: pointing_std_m log-uniform in

@@ -326,6 +326,24 @@ def test_cli_names_a_failing_crossing_probe(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    {"aperture_radius_m": 1e-160, "noise_std": 0.3},
+    {"noise_std": 1e300},
+    {"aperture_radius_m": 1e-160},
+], ids=["u-zero", "u-times-density", "u-subnormal"])
+def test_cli_names_approx_prev_s_overflowing_kernel(tmp_path, capsys, lines):
+    # the legacy 1/u kernel overflows at 0 dBm: exit 1, naming the method and the power
+    out = tmp_path / "o"
+    code = main(["run", "--config", _case1_file(tmp_path / "tiny-u.cfg", **lines),
+                 "--methods", "approx-prev", "--sweep", "0:1:1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fso-ber: run failed: approx-prev failed at P = 0 dBm: "
+                          "the legacy 1/u kernel overflows where u = ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_run_with_no_crossing_in_the_search_window(tmp_path):
     # exact never reaches 1e-300 up to 30 dBm, and the MC sweep never
     # straddles it: the report lists no crossing and the run still succeeds
@@ -492,7 +510,7 @@ def test_config_file_named_like_a_preset_is_read_as_a_file(tmp_path, monkeypatch
 # given methods and otherwise default settings.
 GOLDEN_DIGESTS = {
     ("case1", "exact,approx-new"): (
-        "58678f0041c5d4494033ae88a3c98710b9ed297eb83dbc85fc6e46dc58c117ed",
+        "8ca55dea05c3995f965a6d4b05a2cf90efd2bea154d35d80cf21be05509a1d5a",
         "af00b8d96736dc53cbc436c5ee07d15cf48955f65d911ba5421af4521b9c4b73",
     ),
     ("case2", "exact,approx-new"): (

@@ -39,7 +39,7 @@ METHODS = (
 )
 
 # sha256 of the lines _outputs() yields, each followed by a newline
-FINGERPRINT = "2c084872f2a8398506f69b0c0fac949693b8a509fdd00fd9c01a3c46da48ec72"
+FINGERPRINT = "8ebdfdc104c6aa5022a2121751c86e68dccda74e07433917036b64d00abccfe2"
 
 
 def _links():

@@ -11,7 +11,9 @@ import pytest
 import scipy.stats
 from scipy.special import erfcinv
 
-from fso_ber import dbm_to_watts, fec_crossing, mc_ber, sample_h, wilson_interval
+from fso_ber import (
+    PRESETS, LinkParams, dbm_to_watts, derive, fec_crossing, mc_ber, sample_h, wilson_interval,
+)
 from fso_ber import montecarlo
 from fso_ber.ber import BerMethod
 from fso_ber.montecarlo import (
@@ -186,6 +188,28 @@ def test_zero_noise_over_zero_gain_is_no_error(monkeypatch, deriveds):
         counts = _error_counts([0.5, 1.5, 3.0], deriveds["case1"], noise.size, 0)
     # 1 / 0 = inf errs everywhere; -1 / 0 and 0 / 0 nowhere; 0 / 1 nowhere; 2 / 1 below 2
     assert counts == [2, 2, 1]
+
+
+def test_subnormal_gains_are_decided_without_an_overflow_warning():
+    # A0 h_l is about 1.5e-310, so n / h overflows to +-inf for nearly every
+    # trial; that errs at every threshold when n > 0 and at none when n < 0
+    link = LinkParams(**{**PRESETS["case1"], "aperture_radius_m": 1e-155})
+    d = derive(link)
+    watts = [1e-3, 1e-2]
+    trials, seed = _BATCH + 1_000, 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [est.errors for est in mc_ber(watts, d, link, trials, seed)]
+    expected = [0] * len(watts)
+    with np.errstate(all="ignore"):
+        for i, n in _batches(trials):
+            rng = batch_rng(seed, i)
+            gains = draw_gains(rng, d, n, np.empty(n), np.empty(n))  # drawn before the noise
+            ratios = rng.standard_normal(n) / gains
+            expected = [k + np.count_nonzero(ratios > montecarlo._threshold(p, link))
+                        for k, p in zip(expected, watts)]
+    assert got == expected
+    assert trials // 3 < got[-1] < trials
 
 
 def test_mc_ber_over_powers_rejects_decreasing_powers(links, deriveds):
