@@ -89,6 +89,11 @@ def _ber_call(method: BerMethod, fn, p_dbm, *args):
         raise
 
 
+def _analytic_ber(method: BerMethod, p_dbm: float, d: DerivedParams, link: LinkParams) -> float:
+    """The analytic ``method``'s BER at ``p_dbm``: one sweep task."""
+    return _ber_call(method, _ANALYTIC[method], p_dbm, d, link)
+
+
 def sweep(
     methods,
     p_range_dbm: tuple[float, float, float],
@@ -100,15 +105,20 @@ def sweep(
 ) -> list[BerCurve]:
     """One BER curve per requested method over a uniform dBm grid.
 
-    Analytic methods are evaluated at every grid point, serially: they are
-    pure Python, which threads cannot run in parallel. Monte Carlo makes one
+    Analytic methods are evaluated at every grid point, the (method, power)
+    points shared out by :func:`~fso_ber.forkmap.map_tasks` among this process
+    and a forked helper per further CPU it may run on; each point is the same
+    call wherever it runs, so the curves do not depend on the CPU count, and
+    a failure raises as it would serially, at the first failing point in
+    method and grid order. Monte Carlo makes one
     :func:`~fso_ber.montecarlo.mc_ber` call over the whole grid: one set of
     ``mc_trials`` trials from the master ``seed`` decides every point, so each
     point keeps the :class:`McEstimate` that ``mc_ber`` gives at its power
     alone, and the points share their trials. A failure names the method and
     the power, or for Monte Carlo the grid's span. ``workers`` has no effect
-    and is kept for callers that pass it: Monte Carlo shares its batches
-    among the CPUs the process may run on, and results depend on neither.
+    and is kept for callers that pass it: analytic points and Monte Carlo
+    batches are shared among the CPUs the process may run on, and results
+    depend on neither.
     Before any work, ``ValueError`` refuses an entry of ``methods`` that is
     not a :class:`BerMethod`, a ``workers`` that is not an integer >= 1 and,
     with Monte Carlo, an ``mc_trials`` that is not an integer >= 1 or a
@@ -125,14 +135,17 @@ def sweep(
         return []
     grid = power_grid(*p_range_dbm)
 
+    from . import forkmap  # importing the package does not load it
+
+    bers = iter(forkmap.map_tasks(_analytic_ber, [(m, p, d, link) for m in wanted
+                                                  if m.is_analytic for p in grid]))
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
             estimates = _ber_call(method, mc_ber, grid, d, link, mc_trials, seed)
             points = [BerPoint(p, est.ber, est) for p, est in zip(grid, estimates)]
         else:
-            fn = _ANALYTIC[method]
-            points = [BerPoint(p, _ber_call(method, fn, p, d, link)) for p in grid]
+            points = [BerPoint(p, next(bers)) for p in grid]
         curves.append(BerCurve(method, tuple(points)))
     return curves
 
@@ -240,10 +253,22 @@ def delta(
     """Power gap in dB between two methods' threshold crossings.
 
     Positive when ``method_b`` needs more power than ``method_a`` to reach the
-    threshold; exactly antisymmetric under swapping the methods.
+    threshold; exactly antisymmetric under swapping the methods. The two
+    crossings are located as :func:`sweep`'s points are, one on a helper
+    process when the process may run on more than one CPU.
     """
-    return power_gap(fec_crossing(method_a, threshold, d, link),
-                     fec_crossing(method_b, threshold, d, link))
+    from . import forkmap
+
+    return power_gap(*forkmap.map_tasks(_crossing, [(method_a, threshold, d, link),
+                                                    (method_b, threshold, d, link)]))
+
+
+def _crossing(method: BerMethod, threshold: float, d: DerivedParams,
+              link: LinkParams) -> CrossingReport:
+    """One ``delta`` task: :func:`fec_crossing` as bound at call time, which a
+    wrapper, such as a tracer's, may have replaced by a function that does
+    not pickle."""
+    return fec_crossing(method, threshold, d, link)
 
 
 def power_gap(a: CrossingReport, b: CrossingReport) -> float:

@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Output directory (default fso-ber-out).")
     p_run.add_argument("--workers", dest="workers", metavar="N",
                        help="Accepted for compatibility (N >= 1) and has no effect: "
-                            "analytic sweeps run on one thread, and Monte Carlo uses the "
-                            "CPUs the process may run on.")
+                            "analytic points and Monte Carlo use the CPUs the process "
+                            "may run on.")
     return parser
 
 

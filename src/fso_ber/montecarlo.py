@@ -26,7 +26,8 @@ counts add in any order, so the estimates depend only on (seed, trials),
 never on the CPU count. Each thread draws into its own two float arrays and
 marks its tail in its own boolean array, allocated once per call, so a
 call's memory does not grow with the trial count. This module holds all of
-the package's randomness.
+the package's randomness. (The analytic BERs, pure Python, share the CPUs
+through forked processes instead: see :mod:`fso_ber.forkmap`.)
 """
 
 from __future__ import annotations

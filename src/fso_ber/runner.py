@@ -5,6 +5,11 @@ to temp files in the target directory, with the mode open(path, "w") gives
 under the umask, before either is renamed into place, and a target that is a
 directory fails the run before either is written. So a failing run leaves no
 partial artifacts behind, unless the second rename fails for another reason.
+
+The analytic methods' FEC crossings are located as a sweep's points are, by
+:func:`~fso_ber.forkmap.map_tasks`: on a process that may run on more than
+one CPU, some of them on forked helper processes. The files do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 from .analysis import BerCurve, CrossingReport, fec_crossing, power_gap, sweep
 from .ber import BerMethod
-from .channel import DerivedParams, derive
+from .channel import DerivedParams, LinkParams, derive
 from .config import RunConfig
 from .errors import BracketError
 
@@ -134,20 +139,28 @@ def _write_atomic(outputs: dict[Path, str]) -> None:
         raise
 
 
+def _crossing(method: BerMethod, threshold: float, d: DerivedParams,
+              link: LinkParams) -> CrossingReport | None:
+    """The method's FEC crossing, or None when the threshold is not reached
+    inside the search window, which the report then omits."""
+    try:
+        return fec_crossing(method, threshold, d, link)
+    except BracketError:
+        return None
+
+
 def run(config: RunConfig) -> RunArtifacts:
     """Execute one configured run and write curves.csv and report.txt."""
     d = derive(config.link)
     curves = sweep(config.methods, config.sweep, d, config.link, mc_trials=config.mc_trials,
                    seed=config.seed)
 
+    from . import forkmap  # importing the package does not load it
+
     analytic = [m for m in config.methods if m.is_analytic]
-    crossings: dict[BerMethod, CrossingReport] = {}
-    for method in analytic:
-        try:
-            crossings[method] = fec_crossing(method, config.fec_threshold, d, config.link)
-        except BracketError:
-            # threshold not reached inside the search window; report omits it
-            pass
+    found = forkmap.map_tasks(_crossing, [(m, config.fec_threshold, d, config.link)
+                                          for m in analytic])
+    crossings = {m: c for m, c in zip(analytic, found) if c is not None}
     mc_cross = None
     if BerMethod.MONTE_CARLO in config.methods:
         mc_curve = next(c for c in curves if c.method is BerMethod.MONTE_CARLO)

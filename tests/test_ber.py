@@ -330,6 +330,30 @@ def test_approx_prev_at_large_beta(p_dbm, expected):
     assert ber_approx_prev(dbm_to_watts(p_dbm), d, link) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("noise_std, p_dbm, expected", [
+    (1e200, 0.0, 0.5185608277773099),  # no SNR: exact reads 0.5 at every power
+    (None, -20.0, 0.5024179278920742),  # case1 itself, at low power
+])
+def test_approx_new_above_half_is_returned_inside_its_ratio_bound(noise_std, p_dbm, expected):
+    # erfc_approx >= erfc on z >= 0, so approx-new's density carries more than
+    # unit mass and its BER can pass 0.5 near the plateau. It is returned as
+    # computed: by the ratio bound (tests/test_domain.py) it is at most
+    # RATIO_HIGH = 1.11995 times exact, so at most about 0.56, and refusing
+    # it would turn points of the domain grid into errors
+    from test_domain import RATIO_HIGH  # test_domain imports this module
+
+    fields = dict(PRESETS["case1"])
+    if noise_std is not None:
+        fields["noise_std"] = noise_std
+    link = LinkParams(**fields)
+    d = derive(link)
+    p = dbm_to_watts(p_dbm)
+    exact, approx = ber_exact(p, d, link), ber_approx_new(p, d, link)
+    assert approx == pytest.approx(expected, rel=1e-12)
+    assert 0.5 < approx <= RATIO_HIGH * exact
+    assert exact <= 0.5
+
+
 def test_approx_prev_above_half_raises_regime_error():
     # At -30 dBm, near v = 0 the legacy 1/u overflows to inf where the density
     # exp(-(v - beta/2)^2) underflows to 0; the integrand is 0 there, not
