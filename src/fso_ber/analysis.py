@@ -253,22 +253,10 @@ def delta(
     """Power gap in dB between two methods' threshold crossings.
 
     Positive when ``method_b`` needs more power than ``method_a`` to reach the
-    threshold; exactly antisymmetric under swapping the methods. The two
-    crossings are located as :func:`sweep`'s points are, one on a helper
-    process when the process may run on more than one CPU.
+    threshold; exactly antisymmetric under swapping the methods.
     """
-    from . import forkmap
-
-    return power_gap(*forkmap.map_tasks(_crossing, [(method_a, threshold, d, link),
-                                                    (method_b, threshold, d, link)]))
-
-
-def _crossing(method: BerMethod, threshold: float, d: DerivedParams,
-              link: LinkParams) -> CrossingReport:
-    """One ``delta`` task: :func:`fec_crossing` as bound at call time, which a
-    wrapper, such as a tracer's, may have replaced by a function that does
-    not pickle."""
-    return fec_crossing(method, threshold, d, link)
+    return power_gap(fec_crossing(method_a, threshold, d, link),
+                     fec_crossing(method_b, threshold, d, link))
 
 
 def power_gap(a: CrossingReport, b: CrossingReport) -> float:

@@ -2,10 +2,11 @@
 
 ``map_tasks(fn, tasks)`` returns ``[fn(*task) for task in tasks]``. The BER
 functions are pure Python, which threads cannot run in parallel, so when the
-process may run on P > 1 CPUs the tasks are dealt out to P processes,
+process may run on more than one CPU the tasks are dealt out to P processes,
 interleaved: the caller computes tasks 0, P, 2P, ... while helper k of the
-P - 1 computes tasks k, k + P, .... Each result is the same call of ``fn`` on
-the same arguments, and floats cross the pipe as their 8 bytes, so the list is
+P - 1 computes tasks k, k + P, .... P is the least of the usable CPUs, the
+task count and ``_MAX_PROCS``. Each result is the same call of ``fn`` on the
+same arguments, and floats cross the pipe as their 8 bytes, so the list is
 the serial one bit for bit, whatever the CPU count.
 
 Helpers are forked at the first call that can use them and live as long as
@@ -13,9 +14,11 @@ the process: forking costs about as much as a whole sweep. Each reads
 length-prefixed pickle frames ``(fn, share)`` from one ``os.pipe`` and writes
 the share's results, or ``None`` if a task raised, to another. ``fn`` is
 pickled by reference, so it is a module-level function, and no closure
-crosses the pipe. A helper ignores SIGINT, holds no other helper's pipes, and
-leaves with ``os._exit`` when its pipe reaches EOF. The parent stops and
-reaps its helpers at exit; a child forked from the parent forgets them.
+crosses the pipe. A helper closes every descriptor but 0-2 and its own two
+pipe ends, so it holds none of the caller's files, sockets, pipes or locks,
+nor another helper's pipes; it ignores SIGINT and leaves with ``os._exit``
+when its pipe reaches EOF. The parent stops and reaps its helpers at exit; a
+child forked from the parent forgets them.
 
 A helper is a snapshot of the package at fork time: it computes with the
 functions, tables and patches in place when it was forked, and a change made
@@ -23,12 +26,14 @@ later in the parent does not reach it. Code that patches the package, as
 tests do, calls :func:`close` first, so that the next call forks anew.
 
 The tasks run serially in the calling process when it may run on one CPU,
-when there are fewer tasks than processes, when the platform has no
-``os.fork`` or ``os.sched_getaffinity``, when another thread is running (a
-forked child would inherit no thread but any lock one holds), inside a
-helper, and when no pipe or process can be had. A call in which any task raised, in any process, or a helper was
-found dead, is run again serially in task order, so the first failing task
-raises its own exception exactly as a serial call does.
+when there is one task, when the platform has no ``os.fork`` or
+``os.sched_getaffinity``, when another thread is running (a forked child
+would inherit no thread but any lock one holds), inside a helper, and when
+no pipe or process can be had. Each process stops its share at its first
+task that raises; every task before the earliest such task then succeeded,
+so the caller calls that one task again, and it raises its own exception
+exactly as a serial call does. A call in which a helper was found dead runs
+again serially.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ from typing import NamedTuple
 from . import montecarlo
 
 _HEAD = struct.Struct("!Q")  # a frame's pickle length, ahead of the pickle
+# The caller and at most one helper: the only count measured (on 2 CPUs,
+# where it takes a 41-point sweep to 0.62-0.87 of its serial time). More
+# helpers on more CPUs are unmeasured, so none are forked.
+_MAX_PROCS = 2
 
 
 class _Helper(NamedTuple):
@@ -84,8 +93,15 @@ def map_tasks(fn, tasks: list[tuple]) -> list:
             if helper in _helpers:
                 _drop(helper)
         raise
-    if len(shares) < procs or None in shares.values():
+    if len(shares) < procs:  # a helper died with its share
         return [fn(*task) for task in tasks]
+    failed = [k + procs * len(share) for k, share in shares.items()
+              if len(share) < len(tasks[k::procs])]
+    if failed:
+        # every task before the earliest failure succeeded, so that one task
+        # raises here where a serial call would raise
+        fn(*tasks[min(failed)])
+        return [fn(*task) for task in tasks]  # it raised only in a helper
     results = [None] * len(tasks)
     for k, share in shares.items():
         results[k::procs] = share
@@ -105,8 +121,8 @@ def _helpers_for(n_tasks: int) -> list[_Helper]:
     where the call runs serially."""
     if _in_helper or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return []
-    wanted = montecarlo._usable_cpus() - 1
-    if wanted < 1 or n_tasks < wanted + 1 or threading.active_count() > 1:
+    wanted = min(montecarlo._usable_cpus(), n_tasks, _MAX_PROCS) - 1
+    if wanted < 1 or threading.active_count() > 1:
         return []
     if _owner != os.getpid():  # forked without the at-fork hook
         _forget()
@@ -118,13 +134,16 @@ def _helpers_for(n_tasks: int) -> list[_Helper]:
     return _helpers[:wanted]
 
 
-def _compute(fn, share: list[tuple]) -> list | None:
-    """A share's results, or None if a task raised: the caller then runs the
-    call again serially, which raises it."""
+def _compute(fn, share: list[tuple]) -> list:
+    """A share's results up to its first task that raised, if one did: the
+    caller calls that task again, which raises it."""
+    results = []
     try:
-        return [fn(*task) for task in share]
+        for task in share:
+            results.append(fn(*task))
     except Exception:
-        return None
+        pass
+    return results
 
 
 def _fork() -> _Helper:
@@ -147,12 +166,22 @@ def _fork() -> _Helper:
         raise
     tasks_r, tasks_w, results_r, results_w = fds
     if pid == 0:
-        os.close(tasks_w)
-        os.close(results_r)
+        _close_all_but(tasks_r, results_w)
         _serve(tasks_r, results_w)
     os.close(tasks_r)
     os.close(results_w)
     return _Helper(pid, tasks_w, results_r)
+
+
+def _close_all_but(*keep: int) -> None:
+    """In a new helper: close every descriptor above 2 but ``keep``. The helper
+    lives as long as the caller, so a file, socket, pipe end or lock the caller
+    closes later must not stay open here."""
+    low = 3
+    for fd in sorted(keep):
+        os.closerange(low, fd)
+        low = max(low, fd + 1)
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
 def _serve(tasks: int, results: int) -> None:

@@ -1,4 +1,4 @@
-"""Analytic points and crossings shared with forked helper processes.
+"""Analytic points and a run's crossings shared with forked helper processes.
 
 Most tests patch ``montecarlo._usable_cpus`` to 2, so that one helper is
 forked on any machine; the helper then shares a CPU with the test where
@@ -7,6 +7,7 @@ there is only one. ``conftest.py`` closes the helpers before each test.
 
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -82,13 +83,13 @@ def test_sweep_equals_the_per_point_calls_on_the_fingerprint_links(monkeypatch, 
 
 def _failing_at(bad_dbm, log: Path):
     """A BER method that raises IntegrandError at the powers ``bad_dbm`` and
-    logs the pid of each process in which it raised."""
+    logs the pid and the power of each call."""
     bad_watts = {dbm_to_watts(p) for p in bad_dbm}
 
     def ber(p_watts, d, link, tol=None):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {p_watts.hex()}\n")
         if p_watts in bad_watts:
-            with log.open("a") as fh:
-                fh.write(f"{os.getpid()}\n")
             raise IntegrandError(0.25, math.nan)
         return 0.1
 
@@ -105,7 +106,7 @@ def _failing_at(bad_dbm, log: Path):
 ])
 def test_the_first_failing_power_raises_as_in_serial(monkeypatch, tmp_path, bad, first):
     _cpus(monkeypatch, 2)
-    log = tmp_path / "pids"
+    log = tmp_path / "calls"
     monkeypatch.setitem(_ANALYTIC, BerMethod.APPROX_NEW, _failing_at(bad, log))
     link = LinkParams(**PRESETS["case1"])
     match = rf"^approx-new failed at P = {first:g} dBm: integrand returned nan at x = 0\.25$"
@@ -113,8 +114,20 @@ def test_the_first_failing_power_raises_as_in_serial(monkeypatch, tmp_path, bad,
         sweep([BerMethod.APPROX_NEW], (-4.0, 4.0, 1.0), derive(link), link)
     assert excinfo.value.abscissa == 0.25
     (helper,) = forkmap._helpers
-    raised_in = {int(line) for line in log.read_text().split()}
-    assert raised_in == {helper.pid, os.getpid()}
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, p_watts = line.split()
+        calls.setdefault(int(pid), []).append(float.fromhex(p_watts))
+    # each process stops its share at its first failure, and the caller then
+    # calls the earliest failing power once more: no point is computed twice
+    # but that one, and the call is not run again serially
+    expected = {}
+    for pid, share in ((os.getpid(), power_grid(-4.0, 4.0, 1.0)[0::2]),
+                       (helper.pid, power_grid(-4.0, 4.0, 1.0)[1::2])):
+        ends = [i for i, p in enumerate(share) if p in bad]
+        expected[pid] = [dbm_to_watts(p) for p in share[:ends[0] + 1 if ends else None]]
+    expected[os.getpid()].append(dbm_to_watts(first))
+    assert calls == expected
 
 
 class _Deadline:
@@ -246,11 +259,33 @@ def test_calls_run_serially_where_no_helper_can_be_used(monkeypatch, name, patch
     assert forkmap._helpers == []
 
 
-def test_calls_run_serially_with_fewer_tasks_than_processes(monkeypatch):
-    link = LinkParams(**PRESETS["case1"])
-    _cpus(monkeypatch, 3)
-    sweep([BerMethod.EXACT], (-4.0, -3.0, 1.0), derive(link), link)  # 2 tasks, 3 processes
+def test_one_helper_at_most_and_none_for_one_task(monkeypatch):
+    # more helpers than one are unmeasured, so none are forked on more CPUs
+    _cpus(monkeypatch, 8)
+    assert forkmap.map_tasks(math.ldexp, [(1.0, 3)]) == [8.0]
     assert forkmap._helpers == []
+    assert forkmap.map_tasks(math.ldexp, [(1.0, k) for k in range(5)]) == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert len(forkmap._helpers) == 1
+
+
+def test_a_helper_holds_none_of_the_callers_descriptors(monkeypatch):
+    # a pipe open in the caller when the helper is forked: once the caller
+    # closes its write end, its read end sees EOF, as without a helper
+    _cpus(monkeypatch, 2)
+    read_end, write_end = os.pipe()
+    try:
+        link = LinkParams(**PRESETS["case1"])
+        sweep(TWO, (-4.0, 0.0, 1.0), derive(link), link)
+        assert len(forkmap._helpers) == 1
+        os.close(write_end)
+        write_end = None
+        ready, _, _ = select.select([read_end], [], [], 10)
+        assert ready, "the pipe's write end is still open in another process"
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
 
 
 def test_calls_run_serially_while_another_thread_runs(monkeypatch):
@@ -294,18 +329,3 @@ def test_run_crossings_through_the_helper_match_the_serial_report(monkeypatch, t
     assert reports[2] == reports[1]
     assert "p_cross[exact] = " in reports[2][0]
     assert "p_cross[approx-new]" not in reports[2][0]
-
-
-def test_delta_shares_its_crossings_under_a_wrapped_fec_crossing(monkeypatch):
-    # a tracer or a test may replace fec_crossing by a function that does not
-    # pickle; delta's tasks name a module-level function that calls it
-    from fso_ber import analysis, delta, fec_crossing
-
-    link = LinkParams(**PRESETS["case1"])
-    d = derive(link)
-    expected = (fec_crossing(BerMethod.APPROX_NEW, 3.84e-3, d, link).p_cross_dbm
-                - fec_crossing(BerMethod.EXACT, 3.84e-3, d, link).p_cross_dbm)
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(analysis, "fec_crossing", lambda *args: fec_crossing(*args))
-    assert delta(BerMethod.EXACT, BerMethod.APPROX_NEW, 3.84e-3, d, link) == expected
-    assert len(forkmap._helpers) == 1
