@@ -106,11 +106,11 @@ def sweep(
     """One BER curve per requested method over a uniform dBm grid.
 
     Analytic methods are evaluated at every grid point, the (method, power)
-    points shared out by :func:`~fso_ber.forkmap.map_tasks` among this process
-    and a forked helper per further CPU it may run on; each point is the same
-    call wherever it runs, so the curves do not depend on the CPU count, and
-    a failure raises as it would serially, at the first failing point in
-    method and grid order. Monte Carlo makes one
+    points shared out by :func:`~fso_ber.forkmap.map_tasks` between this
+    process and a forked helper when it may run on more than one CPU; each
+    point is the same call wherever it runs, so the curves do not depend on
+    the CPU count, and a failure raises as it would serially, at the first
+    failing point in method and grid order. Monte Carlo makes one
     :func:`~fso_ber.montecarlo.mc_ber` call over the whole grid: one set of
     ``mc_trials`` trials from the master ``seed`` decides every point, so each
     point keeps the :class:`McEstimate` that ``mc_ber`` gives at its power

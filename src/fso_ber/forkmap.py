@@ -3,22 +3,21 @@
 ``map_tasks(fn, tasks)`` returns ``[fn(*task) for task in tasks]``. The BER
 functions are pure Python, which threads cannot run in parallel, so when the
 process may run on more than one CPU the tasks are dealt out to P processes,
-interleaved: the caller computes tasks 0, P, 2P, ... while helper k of the
-P - 1 computes tasks k, k + P, .... P is the least of the usable CPUs, the
-task count and ``_MAX_PROCS``. Each result is the same call of ``fn`` on the
-same arguments, and floats cross the pipe as their 8 bytes, so the list is
-the serial one bit for bit, whatever the CPU count.
+interleaved: the caller computes tasks 0, P, 2P, ... while helper k computes
+tasks k, k + P, .... P is the least of the usable CPUs, the task count and
+``_MAX_PROCS``. Each result is the same call of ``fn`` on the same arguments,
+and floats cross the pipe as their 8 bytes, so the list is the serial one bit
+for bit, whatever the CPU count.
 
 Helpers are forked at the first call that can use them and live as long as
 the process: forking costs about as much as a whole sweep. Each reads
 length-prefixed pickle frames ``(fn, share)`` from one ``os.pipe`` and writes
-the share's results, or ``None`` if a task raised, to another. ``fn`` is
-pickled by reference, so it is a module-level function, and no closure
-crosses the pipe. A helper closes every descriptor but 0-2 and its own two
-pipe ends, so it holds none of the caller's files, sockets, pipes or locks,
-nor another helper's pipes; it ignores SIGINT and leaves with ``os._exit``
-when its pipe reaches EOF. The parent stops and reaps its helpers at exit; a
-child forked from the parent forgets them.
+its share's results to another. ``fn`` is pickled by reference, so it is a
+module-level function, and no closure crosses the pipe. A helper closes every
+descriptor but 0-2 and its own two pipe ends, so it holds none of the
+caller's files, sockets, pipes or locks; it ignores SIGINT and leaves with
+``os._exit`` when its pipe reaches EOF. The parent stops and reaps its
+helpers at exit; a child forked from the parent forgets them.
 
 A helper is a snapshot of the package at fork time: it computes with the
 functions, tables and patches in place when it was forked, and a change made
@@ -29,11 +28,11 @@ The tasks run serially in the calling process when it may run on one CPU,
 when there is one task, when the platform has no ``os.fork`` or
 ``os.sched_getaffinity``, when another thread is running (a forked child
 would inherit no thread but any lock one holds), inside a helper, and when
-no pipe or process can be had. Each process stops its share at its first
-task that raises; every task before the earliest such task then succeeded,
-so the caller calls that one task again, and it raises its own exception
-exactly as a serial call does. A call in which a helper was found dead runs
-again serially.
+no pipe or process can be had; a call in which a helper is found dead runs
+again serially. Each process stops its share at its first task that raises
+and returns the results before it. Every task before the earliest such task
+succeeded, so the caller calls that one task again, and it raises its own
+exception exactly as a serial call does.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ partial artifacts behind, unless the second rename fails for another reason.
 
 The analytic methods' FEC crossings are located as a sweep's points are, by
 :func:`~fso_ber.forkmap.map_tasks`: on a process that may run on more than
-one CPU, some of them on forked helper processes. The files do not depend on
+one CPU, some of them on a forked helper process. The files do not depend on
 the CPU count.
 """
 
