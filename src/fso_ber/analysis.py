@@ -20,10 +20,16 @@ _ANALYTIC = {
 # auto-expansion limits for crossing brackets, dBm
 _P_FLOOR = -20.0
 _P_CEIL = 30.0
-# crossing search stops once the bracket is at most this wide, dB
-_RESOLUTION_DB = 1e-3
+# a crossing's bracket is one cell of the lattice k * _CELL_DB dBm, whose
+# points in the search window are exact floats, as are the default grid's
+_CELL_DB = 2.0 ** -10
 # largest sweep grid accepted; the default sweep has 41 points
 _MAX_POINTS = 100_000
+
+# this process's most recent sweep, replaced by each call: (d, link,
+# {method: (fn, {p_dbm: ber})}) for its analytic curves, where fn is the
+# _ANALYTIC entry that computed them; None after a sweep that raised
+_last_sweep = None
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,16 @@ def sweep(
     the power, or for Monte Carlo the grid's span. ``workers`` has no effect
     and is kept for callers that pass it: analytic points and Monte Carlo
     batches are shared among the CPUs the process may run on, and results
-    depend on neither.
+    depend on neither. The analytic curves are kept, until the next call,
+    for :func:`fec_crossing` to start from: keyed by ``d``, ``link``, the
+    method and its ``_ANALYTIC`` function, and only once every curve is done.
     Before any work, ``ValueError`` refuses an entry of ``methods`` that is
     not a :class:`BerMethod`, a ``workers`` that is not an integer >= 1 and,
     with Monte Carlo, an ``mc_trials`` that is not an integer >= 1 or a
     ``seed`` that is not an integer >= 0.
     """
+    global _last_sweep
+    _last_sweep = None
     chosen = set(methods)
     check_members("methods", chosen, BerMethod)
     check_integer("workers", workers, 1)
@@ -137,8 +147,8 @@ def sweep(
 
     from . import forkmap  # importing the package does not load it
 
-    bers = iter(forkmap.map_tasks(_analytic_ber, [(m, p, d, link) for m in wanted
-                                                  if m.is_analytic for p in grid]))
+    fns = {m: _ANALYTIC[m] for m in wanted if m.is_analytic}
+    bers = iter(forkmap.map_tasks(_analytic_ber, [(m, p, d, link) for m in fns for p in grid]))
     curves: list[BerCurve] = []
     for method in wanted:
         if method is BerMethod.MONTE_CARLO:
@@ -147,7 +157,22 @@ def sweep(
         else:
             points = [BerPoint(p, next(bers)) for p in grid]
         curves.append(BerCurve(method, tuple(points)))
+    _last_sweep = (d, link, {c.method: (fns[c.method], {pt.p_dbm: pt.ber for pt in c.points})
+                             for c in curves if c.method in fns})
     return curves
+
+
+def _swept(method: BerMethod, fn, d: DerivedParams, link: LinkParams) -> dict[float, float]:
+    """The BERs that this process's most recent sweep computed with ``fn`` for
+    ``method`` on this link, at its powers inside the search window."""
+    record = _last_sweep  # read once: a sweep on another thread may replace it
+    if record is None:
+        return {}
+    swept_d, swept_link, curves = record
+    swept_fn, bers = curves.get(method, (None, {}))
+    if swept_fn is not fn or swept_d != d or swept_link != link:
+        return {}
+    return {p: ber for p, ber in bers.items() if _P_FLOOR <= p <= _P_CEIL}
 
 
 def fec_crossing(
@@ -158,23 +183,34 @@ def fec_crossing(
 ) -> CrossingReport:
     """Transmit power at which the method's BER falls to ``threshold``.
 
-    Brackets the crossing on dBm, expanding from -4..16 dBm in 4 dB steps up to
-    the -20..30 dBm window, then narrows the bracket to ``_RESOLUTION_DB`` by
-    ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
-    2020) on ln(BER / threshold). ITP converges superlinearly on a smooth
-    curve and never takes more than one step beyond bisection's count. The
-    result is the bracket midpoint, with BER(lo) > threshold >= BER(hi).
-    BER must decrease with power: a rise, or a repeated positive value, among
-    the probed points aborts with a diagnostic rather than returning a bogus
-    root. A failed BER call names the method and the power, as in :func:`sweep`.
-    A ``threshold`` that is not a number in (0, 0.5) raises ``ValueError``.
+    The result is a function of the method, ``threshold``, ``d`` and ``link``
+    alone: the bracket is the one cell (lo, hi) of the lattice k * 2^-10 dBm
+    with BER(lo) > threshold >= BER(hi), and ``p_cross_dbm`` is its midpoint.
+    Every lattice point is an exact float, so BER at one is the same call on
+    any search path, and the search may start from any BERs of the same
+    function. It starts from the ones that the process's most recent
+    :func:`sweep` computed for this method with the same ``_ANALYTIC``
+    function, ``d`` and ``link``, at its powers in the -20..30 dBm window:
+    when two adjacent ones straddle the threshold, their lattice cells
+    outward are the first bracket. Otherwise the bracket expands from
+    -4..16 dBm in 4 dB steps up to that window. The bracket is then narrowed
+    over lattice indices. Each probe aims at the root of G = ln(-ln BER) -
+    ln(-ln threshold), nearly linear in dBm, interpolated through the known
+    points next to the bracket, or at the midpoint where BER is 0 at its
+    upper end. It is projected as in ITP (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020), so that no search takes more than one step beyond
+    bisection's shortest count. BER must decrease with power: a rise, or a
+    repeated positive value, among the probed and sweep points aborts with a
+    diagnostic rather than returning a bogus root. A failed BER call names
+    the method and the power, as in :func:`sweep`. A ``threshold`` that is
+    not a number in (0, 0.5) raises ``ValueError``.
     """
     check_threshold("threshold", threshold)
     if not method.is_analytic:
         raise ValueError("crossings are located on analytic methods only; "
                          "interpolate the Monte Carlo sweep instead")
     fn = _ANALYTIC[method]
-    cache: dict[float, float] = {}
+    cache = _swept(method, fn, d, link)
 
     def ber_at(p: float) -> float:
         if p not in cache:
@@ -191,55 +227,81 @@ def fec_crossing(
                     f"{p1:g} dBm ({b1:.6e}) and {p2:g} dBm ({b2:.6e})"
                 )
 
-    def log_excess(p: float) -> float:
-        ber = ber_at(p)
-        return math.log(ber / threshold) if ber > 0.0 else -math.inf
+    ln_ln_t = math.log(-math.log(threshold))
 
-    lo, hi = -4.0, 16.0
-    while ber_at(lo) <= threshold:
-        if lo <= _P_FLOOR:
-            raise BracketError(
-                f"{method.value}: BER({lo:g} dBm) = {ber_at(lo):.3e} never exceeds "
-                f"threshold {threshold:.3e} down to {_P_FLOOR:g} dBm"
-            )
-        lo = max(_P_FLOOR, lo - 4.0)
-    while ber_at(hi) >= threshold:
-        if hi >= _P_CEIL:
-            raise BracketError(
-                f"{method.value}: BER({hi:g} dBm) = {ber_at(hi):.3e} never drops below "
-                f"threshold {threshold:.3e} up to {_P_CEIL:g} dBm"
-            )
-        hi = min(_P_CEIL, hi + 4.0)
+    def excess(ber: float) -> float:
+        """ln(-ln BER) - ln(-ln threshold): < 0 above the threshold, >= 0 at or
+        below it, and -inf or inf where BER is 1 or more, or 0."""
+        if not 0.0 < ber < 1.0:
+            return math.inf if ber <= 0.0 else -math.inf
+        return math.log(-math.log(ber)) - ln_ln_t
+
+    def straddle() -> tuple[float, float] | None:
+        probed = sorted(cache.items())
+        return next(((p1, p2) for (p1, b1), (p2, b2) in zip(probed[:-1], probed[1:])
+                     if b1 > threshold >= b2), None)
+
+    if straddle() is None:
+        lo, hi = -4.0, 16.0
+        while ber_at(lo) <= threshold:
+            if lo <= _P_FLOOR:
+                raise BracketError(
+                    f"{method.value}: BER({lo:g} dBm) = {ber_at(lo):.3e} never exceeds "
+                    f"threshold {threshold:.3e} down to {_P_FLOOR:g} dBm"
+                )
+            lo = max(_P_FLOOR, lo - 4.0)
+        while ber_at(hi) >= threshold:
+            if hi >= _P_CEIL:
+                raise BracketError(
+                    f"{method.value}: BER({hi:g} dBm) = {ber_at(hi):.3e} never drops below "
+                    f"threshold {threshold:.3e} up to {_P_CEIL:g} dBm"
+                )
+            hi = min(_P_CEIL, hi + 4.0)
     check_monotone()
+    lo, hi = straddle()
+    # the lattice points on or outside the straddling pair; known already where
+    # the pair is on the lattice, as the default grid's points are
+    a, b = math.floor(lo / _CELL_DB), math.ceil(hi / _CELL_DB)
+    for k in (a, b):
+        ber_at(k * _CELL_DB)
 
-    # ITP with eps = resolution / 2, kappa1 = 0.2 / first width, kappa2 = 2, n0 = 1:
-    # the bracket after step j is at most eps * 2**(n_max - j) wide, and n_max is
-    # bisection's count + 1. The projection aims a part in 1e9 inside that
-    # bound, so rounding cannot leave the last bracket an ulp over 2 eps.
-    eps = 0.5 * _RESOLUTION_DB
-    kappa1 = 0.2 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1
-    bound = eps * (1.0 - 1e-9)
-    g_lo, g_hi = log_excess(lo), log_excess(hi)
+    def estimate() -> float | None:
+        """The root, in cells, of the polynomial in G through the cached points
+        from the last below a to the first above b; else of the secant through
+        a and b; None where neither lies inside (a, b)."""
+        powers = sorted(cache)
+        i, k = powers.index(a * _CELL_DB), powers.index(b * _CELL_DB)
+        for near in (powers[max(i - 1, 0):k + 2], (powers[i], powers[k])):
+            g = [excess(cache[p]) for p in near]
+            if all(-math.inf < g1 < g2 < math.inf for g1, g2 in zip(g[:-1], g[1:])):
+                x = sum(p / _CELL_DB * math.prod(gj / (gj - gi) for gj in g if gj != gi)
+                        for p, gi in zip(near, g))
+                if a < x < b:
+                    return x
+        return None
+
+    # ITP's projection on indices: the probe m in step j leaves at most
+    # 2**(n_max - j - 1) cells, which bisection closes in the steps left. So
+    # no search takes more than n_max steps, one more than bisection's
+    # shortest path over the same cells
+    n_max = (b - a).bit_length()
     j = 0
-    while hi - lo > 2.0 * eps:
-        mid = 0.5 * (lo + hi)
-        if -math.inf < g_hi < g_lo:
-            r = max(0.0, bound * 2.0 ** (n_max - j) - 0.5 * (hi - lo))
-            x_f = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            sigma = math.copysign(1.0, mid - x_f)
-            delta_t = kappa1 * (hi - lo) ** 2
-            x_t = x_f + sigma * delta_t if delta_t <= abs(mid - x_f) else mid
-            p = x_t if abs(x_t - mid) <= r else mid - sigma * r
+    while b - a > 1:
+        half = 1 << (n_max - j - 1)
+        x = estimate()
+        if x is None:
+            m = (a + b) // 2
         else:
-            # no secant through the ends: BER underflowed to 0 at hi
-            p = mid
-        if ber_at(p) > threshold:
-            lo, g_lo = p, log_excess(p)
+            # the cell edge that leaves the shorter bracket if x is right
+            m = math.ceil(x) if 2.0 * x < a + b else math.floor(x)
+        m = min(max(m, b - half), a + half, b - 1)
+        if ber_at(m * _CELL_DB) > threshold:
+            a = m
         else:
-            hi, g_hi = p, log_excess(p)
+            b = m
         j += 1
     check_monotone()
+    lo, hi = a * _CELL_DB, b * _CELL_DB
     return CrossingReport(0.5 * (lo + hi), (lo, hi))
 
 

@@ -6,10 +6,12 @@ under the umask, before either is renamed into place, and a target that is a
 directory fails the run before either is written. So a failing run leaves no
 partial artifacts behind, unless the second rename fails for another reason.
 
-The analytic methods' FEC crossings are located as a sweep's points are, by
-:func:`~fso_ber.forkmap.map_tasks`: on a process that may run on more than
-one CPU, some of them on a forked helper process. The files do not depend on
-the CPU count.
+The sweep's analytic points are shared with a forked helper process where
+more than one CPU is usable (:func:`~fso_ber.forkmap.map_tasks`). The FEC
+crossings run in this process after it, one after another, so that each
+starts from the sweep's BERs of its method (see
+:func:`~fso_ber.analysis.fec_crossing`). The files depend neither on the CPU
+count nor on the sweep grid's points.
 """
 
 from __future__ import annotations
@@ -154,13 +156,9 @@ def run(config: RunConfig) -> RunArtifacts:
     d = derive(config.link)
     curves = sweep(config.methods, config.sweep, d, config.link, mc_trials=config.mc_trials,
                    seed=config.seed)
-
-    from . import forkmap  # importing the package does not load it
-
-    analytic = [m for m in config.methods if m.is_analytic]
-    found = forkmap.map_tasks(_crossing, [(m, config.fec_threshold, d, config.link)
-                                          for m in analytic])
-    crossings = {m: c for m, c in zip(analytic, found) if c is not None}
+    found = {m: _crossing(m, config.fec_threshold, d, config.link)
+             for m in config.methods if m.is_analytic}
+    crossings = {m: c for m, c in found.items() if c is not None}
     mc_cross = None
     if BerMethod.MONTE_CARLO in config.methods:
         mc_curve = next(c for c in curves if c.method is BerMethod.MONTE_CARLO)

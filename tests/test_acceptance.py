@@ -6,12 +6,14 @@ and fail with the measured value in the message. Before failing, each one
 checks the cause it states, so a program fault cannot pass for the known red:
 
 * ``test_criterion_1_delta_split_kernel[case1]``: the measured gap is
-  0.0651 dB against a 0.21 +/- 0.05 dB target. An independent gain-space
+  0.0654 dB against a 0.21 +/- 0.05 dB target. An independent gain-space
   reference (Gauss-Hermite in the turbulence, ``scipy.integrate.quad`` in the
   pointing term, ``brentq`` crossings) gives 0.0651 dB, and the test asserts
-  agreement to 2e-3 dB before the target. The gap grows with beta
-  (case1 < case2 < case3) while the targets fall; the source of the 0.21 dB
-  target is not in the repository.
+  agreement to 2e-3 dB before the target. It also asserts the cap that
+  ``tests/test_domain.py``'s approx-new / exact ratio bound puts on the gap:
+  +0.0986 dB at case1, below the target's 0.16 dB lower edge. The gap grows
+  with beta (case1 < case2 < case3) while the targets fall; the source of the
+  0.21 dB target is not in the repository.
 * ``test_criterion_2_delta_legacy[case1]`` and
   ``test_criterion_7_legacy_slope_comparison``: the ``approx-prev`` integrand
   behaves as K/v at its lower endpoint, so its integral has no finite value.
@@ -50,10 +52,13 @@ from fso_ber import (
     pdf_h,
     sample_h,
 )
+from fso_ber.analysis import _CELL_DB
 from fso_ber.ber import BerMethod
 from fso_ber.channel import gain_of, log_gain_window
 from fso_ber.config import preset_config
 from fso_ber.runner import run
+
+from test_domain import RATIO_HIGH, RATIO_LOW
 
 mp.mp.dps = 40
 
@@ -150,16 +155,29 @@ def test_criterion_1_delta_split_kernel(case, links, deriveds):
         f"{case}: delta(exact, approx-new) = {signed:.4f} dB disagrees with the "
         f"independent gain-space reference {reference:.4f} dB"
     )
+    # approx-new / exact lies in [RATIO_LOW, RATIO_HIGH] (tests/test_domain.py),
+    # so approx-new reaches FEC no later than exact reaches FEC / RATIO_HIGH
+    cap = (fec_crossing(BerMethod.EXACT, FEC / RATIO_HIGH, d, link).p_cross_dbm
+           - fec_crossing(BerMethod.EXACT, FEC, d, link).p_cross_dbm)
+    assert signed <= cap + _CELL_DB, (
+        f"{case}: delta(exact, approx-new) = {signed:.4f} dB exceeds the ratio bound's "
+        f"cap {cap:+.4f} dB"
+    )
     measured = abs(signed)
     expected = DELTA_NEW_EXPECTED[case]
     ok = abs(measured - expected) <= 0.05
     _line(f"criterion 1 ({case})", ok,
           f"|delta(exact, approx-new)| = {measured:.4f} dB (independent reference "
-          f"{abs(reference):.4f} dB), expected {expected} +/- 0.05")
+          f"{abs(reference):.4f} dB, ratio-bound cap {cap:+.4f} dB), expected {expected} "
+          "+/- 0.05")
     assert ok, (
         f"{case}: measured |delta| = {measured:.4f} dB vs expected {expected} +/- 0.05 dB. "
         f"An independent gain-space evaluation gives {abs(reference):.4f} dB, so the "
-        "measured gap is the value of the two documented integrals."
+        "measured gap is the value of the two documented integrals. Their ratio "
+        f"approx-new / exact lies in [{RATIO_LOW:.5f}, {RATIO_HIGH:.5f}] "
+        f"(tests/test_domain.py), which caps the gap at {cap:+.4f} dB"
+        + (f", below the target's {expected - 0.05:.2f} dB lower edge."
+           if cap < expected - 0.05 else ".")
     )
 
 

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fso_ber import (
+    PRESETS,
     BracketError,
     IntegrandError,
+    LinkParams,
     NonConvergenceError,
     NonMonotoneError,
     dbm_to_watts,
+    derive,
     delta,
     fec_crossing,
     mc_ber,
@@ -20,7 +23,10 @@ from fso_ber import (
 from fso_ber import analysis, montecarlo
 from fso_ber.analysis import _ANALYTIC, power_gap, power_grid
 from fso_ber.ber import BerMethod
+from fso_ber.config import DEFAULT_SWEEP
 from fso_ber.montecarlo import _BATCH
+
+from test_fingerprint import _links
 
 FEC = 3.84e-3
 
@@ -313,14 +319,16 @@ def test_fec_crossing_bracket_straddles(links, deriveds):
 
 
 def test_fec_crossing_resolution_invariance(links, deriveds, monkeypatch):
-    from fso_ber import analysis
-
+    # the crossing is the one lattice cell that straddles the threshold, so on
+    # a lattice of half the cell it is one of the two halves of that cell
     link, d = links["case1"], deriveds["case1"]
-    assert analysis._RESOLUTION_DB == 1e-3
+    assert analysis._CELL_DB == 2.0 ** -10
     coarse = fec_crossing(BerMethod.EXACT, FEC, d, link)
-    monkeypatch.setattr(analysis, "_RESOLUTION_DB", 5e-4)
+    monkeypatch.setattr(analysis, "_CELL_DB", 2.0 ** -11)
     fine = fec_crossing(BerMethod.EXACT, FEC, d, link)
-    assert abs(coarse.p_cross_dbm - fine.p_cross_dbm) <= 1e-3
+    assert fine.bracket[1] - fine.bracket[0] == 2.0 ** -11
+    assert fine.bracket[0] in coarse.bracket or fine.bracket[1] in coarse.bracket
+    assert coarse.bracket[0] <= fine.bracket[0] < fine.bracket[1] <= coarse.bracket[1]
 
 
 def test_fec_crossing_near_low_power_end(links, deriveds):
@@ -410,19 +418,21 @@ def _p_dbm(p_watts: float) -> float:
 
 
 def _bisect(ber, lo: float, hi: float, threshold: float) -> tuple[float, int]:
-    """Plain bisection on dBm down to the crossing resolution: (midpoint, BER calls)."""
-    from fso_ber import analysis
-
+    """Plain bisection over the crossing lattice's indices down to one cell,
+    from the lattice points lo and hi: (midpoint, BER calls)."""
+    cell = analysis._CELL_DB
+    a, b = round(lo / cell), round(hi / cell)
+    assert (a * cell, b * cell) == (lo, hi)
     assert ber(lo) > threshold >= ber(hi)
     calls = 2
-    while hi - lo > analysis._RESOLUTION_DB:
-        mid = 0.5 * (lo + hi)
+    while b - a > 1:
+        m = (a + b) // 2
         calls += 1
-        if ber(mid) > threshold:
-            lo = mid
+        if ber(m * cell) > threshold:
+            a = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi), calls
+            b = m
+    return 0.5 * (a * cell + b * cell), calls
 
 
 def _stub_crossing(monkeypatch, links, deriveds, ber_dbm):
@@ -439,11 +449,11 @@ def _stub_crossing(monkeypatch, links, deriveds, ber_dbm):
 
 
 def _assert_valid_bracket(report, ber_dbm):
-    from fso_ber import analysis
-
+    """The bracket is two lattice points one cell apart that straddle FEC."""
     lo, hi = report.bracket
     assert ber_dbm(lo) > FEC >= ber_dbm(hi)
-    assert hi - lo <= analysis._RESOLUTION_DB
+    assert lo / analysis._CELL_DB == math.floor(lo / analysis._CELL_DB)
+    assert hi - lo == analysis._CELL_DB
     assert report.p_cross_dbm == 0.5 * (lo + hi)
 
 
@@ -542,4 +552,118 @@ def test_fec_crossing_matches_bisection(log_pointing, log_rytov, method):
 
     _assert_valid_bracket(report, ber_dbm)
     reference, _ = _bisect(ber_dbm, analysis._P_FLOOR, analysis._P_CEIL, FEC)
-    assert abs(report.p_cross_dbm - reference) <= analysis._RESOLUTION_DB
+    assert report.p_cross_dbm == reference
+
+
+# --- crossings seeded from the process's last sweep ---------------------------
+
+
+def _crossing_outcome(method, d, link):
+    """The crossing's midpoint and bracket as float hexes, or the exception."""
+    try:
+        report = fec_crossing(method, FEC, d, link)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.p_cross_dbm.hex(), *(p.hex() for p in report.bracket)
+
+
+def _counting(monkeypatch, method):
+    """Replace ``method``'s BER by a wrapper that counts its calls: one object,
+    so a sweep records it and a crossing of the same method can use it."""
+    fn, calls = _ANALYTIC[method], []
+
+    def counting(p_watts, d, link, tol=None):
+        calls.append(p_watts)
+        return fn(p_watts, d, link)
+
+    monkeypatch.setitem(_ANALYTIC, method, counting)
+    return calls
+
+
+@pytest.mark.parametrize("method", (BerMethod.EXACT, BerMethod.APPROX_NEW))
+def test_fec_crossing_does_not_depend_on_the_sweeps_before_it(monkeypatch, method):
+    # on the fingerprint's 19 links, beta about 1e-3 to 1e6
+    calls = _counting(monkeypatch, method)
+    other = LinkParams(**dict(PRESETS["case1"], pointing_std_m=0.3))
+    d_other = derive(other)
+    seeded = unseeded = 0
+    for fields in _links():
+        link = LinkParams(**fields)
+        d = derive(link)
+        monkeypatch.setattr(analysis, "_last_sweep", None)
+        calls.clear()
+        alone = _crossing_outcome(method, d, link)
+        unseeded += len(calls)
+        for grid in (DEFAULT_SWEEP, (-4.0, 16.0, 0.3), (6.0, 16.0, 1.0)):
+            try:
+                sweep([method], grid, d, link)
+            except Exception:
+                pass
+            calls.clear()
+            assert _crossing_outcome(method, d, link) == alone, (fields, grid)
+            if grid == DEFAULT_SWEEP:
+                seeded += len(calls)
+        sweep([method], DEFAULT_SWEEP, d, link)
+        sweep([method], DEFAULT_SWEEP, d_other, other)
+        assert _crossing_outcome(method, d, link) == alone, fields
+    # the default sweep's points are lattice points, so it saves most calls
+    assert seeded < unseeded / 2
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+@pytest.mark.parametrize("method", (BerMethod.EXACT, BerMethod.APPROX_NEW))
+def test_fec_crossing_after_a_default_sweep_probes_only_its_bracket(monkeypatch, links,
+                                                                    deriveds, case, method):
+    calls = _counting(monkeypatch, method)
+    sweep([method], DEFAULT_SWEEP, deriveds[case], links[case])
+    calls.clear()
+    report = fec_crossing(method, FEC, deriveds[case], links[case])
+    assert sorted(calls) == [dbm_to_watts(p) for p in report.bracket]
+
+
+def test_fec_crossing_after_a_sweep_calls_a_function_patched_since(monkeypatch, links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    sweep([BerMethod.EXACT], DEFAULT_SWEEP, d, link)
+    calls = []
+
+    def stub(p_watts, d, link, tol=None):
+        calls.append(p_watts)
+        return FEC * math.exp(-(_p_dbm(p_watts) - 3.3))
+
+    monkeypatch.setitem(_ANALYTIC, BerMethod.EXACT, stub)
+    report = fec_crossing(BerMethod.EXACT, FEC, d, link)
+    assert abs(report.p_cross_dbm - 3.3) <= analysis._CELL_DB
+    assert dbm_to_watts(-4.0) in calls  # the swept BER at -4 dBm was not reused
+
+
+def test_a_sweep_that_raises_leaves_nothing_to_seed_a_crossing(monkeypatch, links, deriveds):
+    link, d = links["case1"], deriveds["case1"]
+    calls = _counting(monkeypatch, BerMethod.EXACT)
+    fec_crossing(BerMethod.EXACT, FEC, d, link)
+    unseeded = len(calls)
+    sweep([BerMethod.EXACT], DEFAULT_SWEEP, d, link)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("no trials")
+
+    monkeypatch.setattr(analysis, "mc_ber", failing)
+    # exact's points are computed before Monte Carlo fails
+    with pytest.raises(RuntimeError, match="no trials"):
+        sweep([BerMethod.EXACT, BerMethod.MONTE_CARLO], DEFAULT_SWEEP, d, link,
+              mc_trials=10, seed=0)
+    calls.clear()
+    fec_crossing(BerMethod.EXACT, FEC, d, link)
+    assert len(calls) == unseeded > 2
+
+
+def test_seeded_crossing_checks_its_probes_against_the_sweep(monkeypatch, links, deriveds):
+    # 2.5 dBm, a sweep point, reads the threshold itself: on the right side of
+    # it, but above the BERs probed between 2.0 and 2.5 dBm
+    def ber_dbm(p):
+        return FEC if p == 2.5 else FEC * math.exp(-(p - 2.2))
+
+    report, _ = _stub_crossing(monkeypatch, links, deriveds, ber_dbm)  # no sweep: no rise seen
+    _assert_valid_bracket(report, ber_dbm)
+    sweep([BerMethod.EXACT], DEFAULT_SWEEP, deriveds["case1"], links["case1"])
+    with pytest.raises(NonMonotoneError, match=r"and 2\.5 dBm \(3\.840000e-03\)$"):
+        fec_crossing(BerMethod.EXACT, FEC, deriveds["case1"], links["case1"])

@@ -511,19 +511,19 @@ def test_config_file_named_like_a_preset_is_read_as_a_file(tmp_path, monkeypatch
 GOLDEN_DIGESTS = {
     ("case1", "exact,approx-new"): (
         "8ca55dea05c3995f965a6d4b05a2cf90efd2bea154d35d80cf21be05509a1d5a",
-        "af00b8d96736dc53cbc436c5ee07d15cf48955f65d911ba5421af4521b9c4b73",
+        "1e7b969f342b87d7740afca4a1598d6bc38a4970e98709e375d8098563e5622a",
     ),
     ("case2", "exact,approx-new"): (
         "ece1bf64bd540bac54d9894e03d1f03e965d0cea1bbe5b340464847f4c6413fc",
-        "a60985a0e9b390170cd62e6c4caa73eca9b87afd18c6f6006c3596456e9ee409",
+        "ada117131560e431641eba6f1702011655f6e89126d5a8831f3c733560fc5fe1",
     ),
     ("case3", "exact,approx-new"): (
         "db2da60290194cbe97ad015ac9fd835b17c5715820a0d955f77b9bea17c47cdc",
-        "34dbe10324e3c3b3215d6121cb7c961b2182d329aab0e1407492d423c34df114",
+        "231058cb68431d372605ec01f13efdd76909b3bf1910d5d1ee51fe87471be5c9",
     ),
     ("case2", "exact,approx-new,approx-prev,mc"): (
         "2ef425844457ba6a2e17893016c011eb4b9fa5cdffcd93877f0b25d88b5ce042",
-        "3be3930a4b831b9006e0f23faee0945156716bd47a60eb37b89e2989dfd2fa25",
+        "282d88d65960891cb4a79bb855ab455f4fb3ae887e1badbfd254023d3304b3fa",
     ),
 }
 

@@ -42,7 +42,7 @@ from fso_ber import (
     log_gain_pdf,
 )
 from fso_ber import ber as ber_module
-from fso_ber.analysis import _RESOLUTION_DB, power_grid
+from fso_ber.analysis import _CELL_DB, power_grid
 from fso_ber.channel import log_gain_of, log_gain_window
 from fso_ber.config import DEFAULT_FEC_THRESHOLD, DEFAULT_SWEEP
 from test_ber import LINK_DOMAIN
@@ -394,8 +394,8 @@ def _assert_gap_bound(link):
         return fec_crossing(BerMethod.EXACT, threshold, d, link).p_cross_dbm
 
     gap = delta(BerMethod.EXACT, BerMethod.APPROX_NEW, t, d, link)
-    assert gap >= p_exact(t / RATIO_LOW) - p_exact(t) - _RESOLUTION_DB
-    assert gap <= p_exact(t / RATIO_HIGH) - p_exact(t) + _RESOLUTION_DB
+    assert gap >= p_exact(t / RATIO_LOW) - p_exact(t) - _CELL_DB
+    assert gap <= p_exact(t / RATIO_HIGH) - p_exact(t) + _CELL_DB
 
 
 @pytest.mark.parametrize("case", ("case1", "case2", "case3"))

@@ -39,7 +39,7 @@ METHODS = (
 )
 
 # sha256 of the lines _outputs() yields, each followed by a newline
-FINGERPRINT = "8ebdfdc104c6aa5022a2121751c86e68dccda74e07433917036b64d00abccfe2"
+FINGERPRINT = "844644d418b68fe1025aa5e6404a518dc550565abd862d32f8d64def7034a48d"
 
 
 def _links():

@@ -1,4 +1,4 @@
-"""Analytic points and a run's crossings shared with forked helper processes.
+"""Analytic sweep points shared with forked helper processes.
 
 Most tests patch ``montecarlo._usable_cpus`` to 2, so that one helper is
 forked on any machine; the helper then shares a CPU with the test where
@@ -303,9 +303,9 @@ def test_calls_run_serially_while_another_thread_runs(monkeypatch):
     assert forkmap._helpers == []
 
 
-def test_run_crossings_through_the_helper_match_the_serial_report(monkeypatch, tmp_path):
-    # approx-new's BER stays at 0.25, so its crossing raises BracketError:
-    # on the helper, which locates the second of the two crossings
+def test_run_crossings_run_in_the_caller_and_match_the_serial_report(monkeypatch, tmp_path):
+    # approx-new's BER stays at 0.25, so its crossing raises BracketError: in
+    # the calling process, where the sweep's BERs are, as every crossing runs
     log = tmp_path / "pids"
 
     def flat(p_watts, d, link, tol=None):
@@ -324,8 +324,8 @@ def test_run_crossings_through_the_helper_match_the_serial_report(monkeypatch, t
         artifacts = run(config)
         reports[cpus] = (artifacts.report_path.read_text(), artifacts.csv_path.read_text())
         if cpus == 2:
-            (helper,) = forkmap._helpers
-            assert {int(line) for line in log.read_text().split()} == {helper.pid}
+            assert len(forkmap._helpers) == 1  # the sweep's points were shared
+            assert {int(line) for line in log.read_text().split()} == {os.getpid()}
     assert reports[2] == reports[1]
     assert "p_cross[exact] = " in reports[2][0]
     assert "p_cross[approx-new]" not in reports[2][0]
