@@ -1,25 +1,28 @@
-"""Forked helper processes that compute a share of a call's tasks.
+"""A forked helper process that computes a share of a call's tasks.
 
 ``map_tasks(fn, tasks)`` returns ``[fn(*task) for task in tasks]``. The BER
 functions are pure Python, which threads cannot run in parallel, so when the
-process may run on more than one CPU the tasks are dealt out to P processes,
-interleaved: the caller computes tasks 0, P, 2P, ... while helper k computes
-tasks k, k + P, .... P is the least of the usable CPUs, the task count and
-``_MAX_PROCS``. Each result is the same call of ``fn`` on the same arguments,
-and floats cross the pipe as their 8 bytes, so the list is the serial one bit
-for bit, whatever the CPU count.
+process may run on more than one CPU the tasks are dealt out, interleaved, to
+the caller and one helper process: the caller computes tasks 0, 2, 4, ...
+while the helper computes tasks 1, 3, 5, .... One helper is the only count
+measured (on 2 CPUs, where it takes a 41-point sweep to 0.62-0.87 of its
+serial time), so a process with more CPUs forks no more. Each result is the
+same call of ``fn`` on the same arguments, and floats cross the pipe as
+their 8 bytes, so the list is the serial one bit for bit, whatever the CPU
+count.
 
-Helpers are forked at the first call that can use them and live as long as
-the process: forking costs about as much as a whole sweep. Each reads
+The helper is forked at the first call that can use it and lives as long as
+the process: forking costs about as much as a whole sweep. It reads
 length-prefixed pickle frames ``(fn, share)`` from one ``os.pipe`` and writes
 its share's results to another. ``fn`` is pickled by reference, so it is a
-module-level function, and no closure crosses the pipe. A helper closes every
-descriptor but 0-2 and its own two pipe ends, so it holds none of the
-caller's files, sockets, pipes or locks; it ignores SIGINT and leaves with
-``os._exit`` when its pipe reaches EOF. The parent stops and reaps its
-helpers at exit; a child forked from the parent forgets them.
+module-level function, and no closure crosses the pipe. The helper ignores
+SIGINT, closes every descriptor but 0-2 and its own two pipe ends, so it
+holds none of the caller's files, sockets, pipes or locks, and leaves with
+``os._exit`` when its pipe reaches EOF or anything raises: it never returns
+into the caller's stack. The parent stops and reaps its helper at exit; a
+child forked from the parent forgets it.
 
-A helper is a snapshot of the package at fork time: it computes with the
+The helper is a snapshot of the package at fork time: it computes with the
 functions, tables and patches in place when it was forked, and a change made
 later in the parent does not reach it. Code that patches the package, as
 tests do, calls :func:`close` first, so that the next call forks anew.
@@ -27,8 +30,8 @@ tests do, calls :func:`close` first, so that the next call forks anew.
 The tasks run serially in the calling process when it may run on one CPU,
 when there is one task, when the platform has no ``os.fork`` or
 ``os.sched_getaffinity``, when another thread is running (a forked child
-would inherit no thread but any lock one holds), inside a helper, and when
-no pipe or process can be had; a call in which a helper is found dead runs
+would inherit no thread but any lock one holds), inside the helper, and when
+no pipe or process can be had; a call in which the helper is found dead runs
 again serially. Each process stops its share at its first task that raises
 and returns the results before it. Every task before the earliest such task
 succeeded, so the caller calls that one task again, and it raises its own
@@ -49,10 +52,6 @@ from typing import NamedTuple
 from . import montecarlo
 
 _HEAD = struct.Struct("!Q")  # a frame's pickle length, ahead of the pickle
-# The caller and at most one helper: the only count measured (on 2 CPUs,
-# where it takes a 41-point sweep to 0.62-0.87 of its serial time). More
-# helpers on more CPUs are unmeasured, so none are forked.
-_MAX_PROCS = 2
 
 
 class _Helper(NamedTuple):
@@ -61,76 +60,63 @@ class _Helper(NamedTuple):
     results: int  # read end of the pipe the helper writes its results to
 
 
-_helpers: list[_Helper] = []
-_owner = os.getpid()  # the process whose children the helpers are
+_helper: _Helper | None = None
 _in_helper = False
 
 
 def map_tasks(fn, tasks: list[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``, a share of it on each helper."""
-    helpers = _helpers_for(len(tasks))
-    if not helpers:
+    """``[fn(*task) for task in tasks]``, the odd-indexed tasks on the helper."""
+    helper = _helper_for(len(tasks))
+    if helper is None:
         return [fn(*task) for task in tasks]
-    procs = len(helpers) + 1
-    asked, shares = [], {}
     try:
-        for k, helper in enumerate(helpers, 1):
-            try:
-                _send(helper.tasks, (fn, tasks[k::procs]))
-                asked.append((k, helper))
-            except BrokenPipeError:  # the helper died since the last call
-                _drop(helper)
-        shares[0] = _compute(fn, tasks[0::procs])
-        for k, helper in asked:
-            try:
-                shares[k] = _recv(helper.results)
-            except EOFError:
-                _drop(helper)
-    except BaseException:
-        # a helper may still owe its reply, which the next call would misread
-        for helper in helpers:
-            if helper in _helpers:
-                _drop(helper)
-        raise
-    if len(shares) < procs:  # a helper died with its share
+        _send(helper.tasks, (fn, tasks[1::2]))
+        shares = (_compute(fn, tasks[0::2]), _recv(helper.results))
+    except (BrokenPipeError, EOFError):  # the helper died before the send or with its share
+        close()
         return [fn(*task) for task in tasks]
-    failed = [k + procs * len(share) for k, share in shares.items()
-              if len(share) < len(tasks[k::procs])]
+    except BaseException:
+        close()  # the helper may still owe its reply, which the next call would misread
+        raise
+    failed = [k + 2 * len(share) for k, share in enumerate(shares)
+              if len(share) < len(tasks[k::2])]
     if failed:
         # every task before the earliest failure succeeded, so that one task
         # raises here where a serial call would raise
         fn(*tasks[min(failed)])
-        return [fn(*task) for task in tasks]  # it raised only in a helper
+        return [fn(*task) for task in tasks]  # it raised only in the helper
     results = [None] * len(tasks)
-    for k, share in shares.items():
-        results[k::procs] = share
+    results[0::2], results[1::2] = shares
     return results
 
 
 def close() -> None:
-    """Stop and reap every helper of this process; the next call forks anew."""
-    if _owner != os.getpid():
-        _forget()
-    while _helpers:
-        _drop(_helpers[-1])
+    """Stop and reap this process's helper, if it has one; the next call forks
+    anew. The helper is this process's unreaped child, so its pid cannot have
+    been reused."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        os.close(helper.tasks)
+        os.close(helper.results)
+        os.kill(helper.pid, signal.SIGKILL)
+        os.waitpid(helper.pid, 0)
 
 
-def _helpers_for(n_tasks: int) -> list[_Helper]:
-    """The helpers to share ``n_tasks`` tasks with, forked as needed; none
+def _helper_for(n_tasks: int) -> _Helper | None:
+    """The helper to share ``n_tasks`` tasks with, forked if need be; None
     where the call runs serially."""
+    global _helper
     if _in_helper or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return []
-    wanted = min(montecarlo._usable_cpus(), n_tasks, _MAX_PROCS) - 1
-    if wanted < 1 or threading.active_count() > 1:
-        return []
-    if _owner != os.getpid():  # forked without the at-fork hook
-        _forget()
-    while len(_helpers) < wanted:
+        return None
+    if min(montecarlo._usable_cpus(), n_tasks) < 2 or threading.active_count() > 1:
+        return None
+    if _helper is None:
         try:
-            _helpers.append(_fork())
+            _helper = _fork()
         except OSError:  # no process or pipe to be had now: this call runs serially
-            return []
-    return _helpers[:wanted]
+            return None
+    return _helper
 
 
 def _compute(fn, share: list[tuple]) -> list:
@@ -165,7 +151,6 @@ def _fork() -> _Helper:
         raise
     tasks_r, tasks_w, results_r, results_w = fds
     if pid == 0:
-        _close_all_but(tasks_r, results_w)
         _serve(tasks_r, results_w)
     os.close(tasks_r)
     os.close(results_w)
@@ -189,6 +174,7 @@ def _serve(tasks: int, results: int) -> None:
     try:
         _in_helper = True
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        _close_all_but(tasks, results)
         while True:
             fn, share = _recv(tasks)
             _send(results, _compute(fn, share))
@@ -196,25 +182,14 @@ def _serve(tasks: int, results: int) -> None:
         os._exit(0)  # at EOF or on any error: never return into the parent's stack
 
 
-def _drop(helper: _Helper) -> None:
-    """Close a helper's pipes, kill it and reap it. It is this process's
-    unreaped child, so its pid cannot have been reused."""
-    _helpers.remove(helper)
-    os.close(helper.tasks)
-    os.close(helper.results)
-    os.kill(helper.pid, signal.SIGKILL)
-    os.waitpid(helper.pid, 0)
-
-
 def _forget() -> None:
-    """In a child forked from the owner: the helpers are the owner's, so close
-    this process's copies of their pipes and leave the helpers alone."""
-    global _owner
-    for helper in _helpers:
-        os.close(helper.tasks)
-        os.close(helper.results)
-    _helpers.clear()
-    _owner = os.getpid()
+    """In a child forked from this process: the helper is the parent's, so
+    close this process's copies of its pipes and leave the helper alone."""
+    global _helper
+    if _helper is not None:
+        os.close(_helper.tasks)
+        os.close(_helper.results)
+        _helper = None
 
 
 def _send(fd: int, obj) -> None:

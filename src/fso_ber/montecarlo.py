@@ -27,7 +27,7 @@ never on the CPU count. Each thread draws into its own two float arrays and
 marks its tail in its own boolean array, allocated once per call, so a
 call's memory does not grow with the trial count. This module holds all of
 the package's randomness. (The analytic BERs, pure Python, share the CPUs
-through forked processes instead: see :mod:`fso_ber.forkmap`.)
+with a forked helper process instead: see :mod:`fso_ber.forkmap`.)
 """
 
 from __future__ import annotations

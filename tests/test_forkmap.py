@@ -1,8 +1,8 @@
 """Analytic sweep points shared with forked helper processes.
 
-Most tests patch ``montecarlo._usable_cpus`` to 2, so that one helper is
-forked on any machine; the helper then shares a CPU with the test where
-there is only one. ``conftest.py`` closes the helpers before each test.
+Most tests patch ``montecarlo._usable_cpus`` to 2, so that the helper is
+forked on any machine; it then shares a CPU with the test where there is
+only one. ``conftest.py`` closes the helper before each test.
 """
 
 import math
@@ -78,7 +78,7 @@ def test_sweep_equals_the_per_point_calls_on_the_fingerprint_links(monkeypatch, 
         for methods in (ANALYTIC, *([m] for m in ANALYTIC)):
             got = _outcome(lambda: sweep(methods, DEFAULT_SWEEP, d, link))
             assert got == _direct(methods, d, link), (fields, methods)
-    assert len(forkmap._helpers) == cpus - 1
+    assert (forkmap._helper is not None) == (cpus == 2)
 
 
 def _failing_at(bad_dbm, log: Path):
@@ -94,6 +94,15 @@ def _failing_at(bad_dbm, log: Path):
         return 0.1
 
     return ber
+
+
+def _calls(log: Path) -> dict[int, list[float]]:
+    """The powers, in watts, that each pid logged, in its order."""
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, p_watts = line.split()
+        calls.setdefault(int(pid), []).append(float.fromhex(p_watts))
+    return calls
 
 
 # on 9 points and 2 processes the caller computes the even indices and the
@@ -113,11 +122,8 @@ def test_the_first_failing_power_raises_as_in_serial(monkeypatch, tmp_path, bad,
     with pytest.raises(IntegrandError, match=match) as excinfo:
         sweep([BerMethod.APPROX_NEW], (-4.0, 4.0, 1.0), derive(link), link)
     assert excinfo.value.abscissa == 0.25
-    (helper,) = forkmap._helpers
-    calls = {}
-    for line in log.read_text().splitlines():
-        pid, p_watts = line.split()
-        calls.setdefault(int(pid), []).append(float.fromhex(p_watts))
+    helper = forkmap._helper
+    calls = _calls(log)
     # each process stops its share at its first failure, and the caller then
     # calls the earliest failing power once more: no point is computed twice
     # but that one, and the call is not run again serially
@@ -148,21 +154,83 @@ class _Deadline:
         signal.signal(signal.SIGALRM, self.previous)
 
 
-def test_a_killed_helper_is_reaped_and_the_call_runs_serially(monkeypatch):
+def _serial_then_two_cpus(monkeypatch, args):
+    """``sweep(*args)`` on one CPU, every point in the caller; then 2 CPUs."""
+    _cpus(monkeypatch, 1)
+    serial = sweep(*args)
     _cpus(monkeypatch, 2)
-    link = LinkParams(**PRESETS["case3"])
-    d = derive(link)
-    first = sweep(ANALYTIC, DEFAULT_SWEEP, d, link)
-    (helper,) = forkmap._helpers
-    os.kill(helper.pid, signal.SIGKILL)
-    with _Deadline(60):
-        assert sweep(ANALYTIC, DEFAULT_SWEEP, d, link) == first
-    assert forkmap._helpers == []
+    return serial
+
+
+def _assert_reaped_and_replaced(pid, args, serial):
     with pytest.raises(ChildProcessError):  # reaped, not left a zombie
-        os.waitpid(helper.pid, os.WNOHANG)
-    assert sweep(ANALYTIC, DEFAULT_SWEEP, d, link) == first
-    (new,) = forkmap._helpers
-    assert new.pid != helper.pid
+        os.waitpid(pid, os.WNOHANG)
+    assert forkmap._helper is None
+    assert sweep(*args) == serial
+    assert forkmap._helper.pid != pid  # the next sweep forked a new helper
+
+
+def test_a_killed_helper_is_reaped_and_the_call_runs_serially(monkeypatch):
+    # the helper has exited, unreaped, before the call: sending its share
+    # raises BrokenPipeError
+    link = LinkParams(**PRESETS["case3"])
+    args = (ANALYTIC, DEFAULT_SWEEP, derive(link), link)
+    serial = _serial_then_two_cpus(monkeypatch, args)
+    assert sweep(*args) == serial
+    pid = forkmap._helper.pid
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, still unreaped
+    with _Deadline(60):
+        assert sweep(*args) == serial
+    _assert_reaped_and_replaced(pid, args, serial)
+
+
+def test_a_helper_dying_with_its_share_is_reaped_and_the_call_runs_serially(
+        monkeypatch, tmp_path):
+    # the helper reads its share and dies computing it: reading its results
+    # raises EOFError
+    caller, log = os.getpid(), tmp_path / "helper"
+    exact = _ANALYTIC[BerMethod.EXACT]
+
+    def dies_in_the_helper(*args):
+        if os.getpid() != caller:
+            log.write_text(str(os.getpid()))
+            os._exit(1)
+        return exact(*args)
+
+    monkeypatch.setitem(_ANALYTIC, BerMethod.EXACT, dies_in_the_helper)
+    link = LinkParams(**PRESETS["case3"])
+    args = (ANALYTIC, DEFAULT_SWEEP, derive(link), link)
+    serial = _serial_then_two_cpus(monkeypatch, args)
+    with _Deadline(60):
+        assert sweep(*args) == serial
+    monkeypatch.setitem(_ANALYTIC, BerMethod.EXACT, exact)
+    _assert_reaped_and_replaced(int(log.read_text()), args, serial)
+
+
+def test_every_exit_from_the_helper_goes_through_os_exit(monkeypatch, tmp_path):
+    # an exception in the new helper before it serves, as a Ctrl-C landing
+    # right after the fork raises, ends it there: it never unwinds into the
+    # caller's stack, so only the caller reaches the finally below
+    link = LinkParams(**PRESETS["case1"])
+    args = (TWO, (-4.0, 0.0, 1.0), derive(link), link)
+    serial = _serial_then_two_cpus(monkeypatch, args)
+
+    def interrupted(*keep):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(forkmap, "_close_all_but", interrupted)
+    caller, log = os.getpid(), tmp_path / "pids"
+    try:
+        with _Deadline(60):
+            got = sweep(*args)
+    finally:
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != caller:
+            os._exit(0)
+    assert got == serial
+    assert log.read_text().split() == [str(caller)]
 
 
 def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
@@ -170,7 +238,7 @@ def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
     link = LinkParams(**PRESETS["case2"])
     d = derive(link)
     first = sweep(ANALYTIC, DEFAULT_SWEEP, d, link)
-    (helper,) = forkmap._helpers
+    helper = forkmap._helper
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -181,8 +249,8 @@ def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
                 except OSError:
                     continue
                 raise AssertionError(f"the child still holds the helper's fd {fd}")
-            ok = forkmap._helpers == [] and sweep(ANALYTIC, DEFAULT_SWEEP, d, link) == first
-            ok = ok and [h.pid for h in forkmap._helpers] != [helper.pid]
+            ok = forkmap._helper is None and sweep(ANALYTIC, DEFAULT_SWEEP, d, link) == first
+            ok = ok and forkmap._helper != helper
             forkmap.close()
             status = 0 if ok else 1
         finally:
@@ -190,9 +258,9 @@ def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
     with _Deadline(60):
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert forkmap._helpers == [helper]
+        assert forkmap._helper == helper
         assert sweep(ANALYTIC, DEFAULT_SWEEP, d, link) == first
-    assert forkmap._helpers == [helper]
+    assert forkmap._helper == helper
 
 
 SWEEP_THEN_WAIT = """
@@ -201,7 +269,7 @@ from fso_ber import PRESETS, BerMethod, LinkParams, derive, forkmap, montecarlo,
 montecarlo._usable_cpus = lambda: 2
 link = LinkParams(**PRESETS["case1"])
 sweep([BerMethod.EXACT], (-4.0, 0.0, 1.0), derive(link), link)
-print(*(h.pid for h in forkmap._helpers), flush=True)
+print(forkmap._helper.pid, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
 """
@@ -256,16 +324,23 @@ def test_calls_run_serially_where_no_helper_can_be_used(monkeypatch, name, patch
     _cpus(monkeypatch, 2)
     patch(monkeypatch)
     assert sweep(TWO, (-4.0, 0.0, 1.0), d, link)[0].points[0].ber > 0.0
-    assert forkmap._helpers == []
+    assert forkmap._helper is None
 
 
-def test_one_helper_at_most_and_none_for_one_task(monkeypatch):
-    # more helpers than one are unmeasured, so none are forked on more CPUs
+def test_one_helper_at_most_and_none_for_one_task(monkeypatch, tmp_path):
+    # more helpers than one are unmeasured, so none are forked on more CPUs:
+    # the caller computes the even indices and one helper the odd ones
     _cpus(monkeypatch, 8)
     assert forkmap.map_tasks(math.ldexp, [(1.0, 3)]) == [8.0]
-    assert forkmap._helpers == []
-    assert forkmap.map_tasks(math.ldexp, [(1.0, k) for k in range(5)]) == [1.0, 2.0, 4.0, 8.0, 16.0]
-    assert len(forkmap._helpers) == 1
+    assert forkmap._helper is None
+    log = tmp_path / "calls"
+    monkeypatch.setitem(_ANALYTIC, BerMethod.APPROX_NEW, _failing_at((), log))
+    link = LinkParams(**PRESETS["case1"])
+    sweep([BerMethod.APPROX_NEW], (-4.0, 4.0, 1.0), derive(link), link)
+    calls = _calls(log)
+    watts = [dbm_to_watts(p) for p in power_grid(-4.0, 4.0, 1.0)]
+    assert calls.pop(os.getpid()) == watts[0::2]
+    assert list(calls.values()) == [watts[1::2]]
 
 
 def test_a_helper_holds_none_of_the_callers_descriptors(monkeypatch):
@@ -276,7 +351,7 @@ def test_a_helper_holds_none_of_the_callers_descriptors(monkeypatch):
     try:
         link = LinkParams(**PRESETS["case1"])
         sweep(TWO, (-4.0, 0.0, 1.0), derive(link), link)
-        assert len(forkmap._helpers) == 1
+        assert forkmap._helper is not None
         os.close(write_end)
         write_end = None
         ready, _, _ = select.select([read_end], [], [], 10)
@@ -300,7 +375,7 @@ def test_calls_run_serially_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert forkmap._helpers == []
+    assert forkmap._helper is None
 
 
 def test_run_crossings_run_in_the_caller_and_match_the_serial_report(monkeypatch, tmp_path):
@@ -324,7 +399,7 @@ def test_run_crossings_run_in_the_caller_and_match_the_serial_report(monkeypatch
         artifacts = run(config)
         reports[cpus] = (artifacts.report_path.read_text(), artifacts.csv_path.read_text())
         if cpus == 2:
-            assert len(forkmap._helpers) == 1  # the sweep's points were shared
+            assert forkmap._helper is not None  # the sweep's points were shared
             assert {int(line) for line in log.read_text().split()} == {os.getpid()}
     assert reports[2] == reports[1]
     assert "p_cross[exact] = " in reports[2][0]
