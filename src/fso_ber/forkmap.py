@@ -12,15 +12,15 @@ their 8 bytes, so the list is the serial one bit for bit, whatever the CPU
 count.
 
 The helper is forked at the first call that can use it and lives as long as
-the process: forking costs about as much as a whole sweep. It reads
-length-prefixed pickle frames ``(fn, share)`` from one ``os.pipe`` and writes
-its share's results to another. ``fn`` is pickled by reference, so it is a
-module-level function, and no closure crosses the pipe. The helper ignores
-SIGINT, closes every descriptor but 0-2 and its own two pipe ends, so it
-holds none of the caller's files, sockets, pipes or locks, and leaves with
-``os._exit`` when its pipe reaches EOF or anything raises: it never returns
-into the caller's stack. The parent stops and reaps its helper at exit; a
-child forked from the parent forgets it.
+the process: forking costs about as much as a whole sweep. It receives each
+``(fn, share)`` pickled on one one-way ``multiprocessing.connection`` pipe
+and sends its share's results back on another. ``fn`` is pickled by
+reference, so it is a module-level function, and no closure crosses the
+pipe. The helper ignores SIGINT, closes every descriptor but 0-2 and its own
+two pipe ends, so it holds none of the caller's files, sockets, pipes or
+locks, and leaves with ``os._exit`` when its pipe reaches EOF or anything
+raises: it never returns into the caller's stack. The parent stops and reaps
+its helper at exit; a child forked from the parent forgets it.
 
 The helper is a snapshot of the package at fork time: it computes with the
 functions, tables and patches in place when it was forked, and a change made
@@ -44,20 +44,16 @@ import atexit
 import os
 import pickle
 import signal
-import struct
 import threading
 import warnings
+from multiprocessing.connection import Connection, Pipe
 from typing import NamedTuple
-
-from . import montecarlo
-
-_HEAD = struct.Struct("!Q")  # a frame's pickle length, ahead of the pickle
 
 
 class _Helper(NamedTuple):
     pid: int
-    tasks: int    # write end of the pipe the helper reads its shares from
-    results: int  # read end of the pipe the helper writes its results to
+    tasks: Connection    # write end of the pipe the helper reads its shares from
+    results: Connection  # read end of the pipe the helper writes its results to
 
 
 _helper: _Helper | None = None
@@ -70,9 +66,11 @@ def map_tasks(fn, tasks: list[tuple]) -> list:
     if helper is None:
         return [fn(*task) for task in tasks]
     try:
-        _send(helper.tasks, (fn, tasks[1::2]))
-        shares = (_compute(fn, tasks[0::2]), _recv(helper.results))
-    except (BrokenPipeError, EOFError):  # the helper died before the send or with its share
+        helper.tasks.send_bytes(pickle.dumps((fn, tasks[1::2]), pickle.HIGHEST_PROTOCOL))
+        shares = (_compute(fn, tasks[0::2]), pickle.loads(helper.results.recv_bytes()))
+    except (OSError, EOFError):
+        # the helper died: before the send (BrokenPipeError), with its share
+        # (EOFError) or partway through sending its results (OSError)
         close()
         return [fn(*task) for task in tasks]
     except BaseException:
@@ -97,8 +95,8 @@ def close() -> None:
     global _helper
     helper, _helper = _helper, None
     if helper is not None:
-        os.close(helper.tasks)
-        os.close(helper.results)
+        helper.tasks.close()
+        helper.results.close()
         os.kill(helper.pid, signal.SIGKILL)
         os.waitpid(helper.pid, 0)
 
@@ -109,7 +107,7 @@ def _helper_for(n_tasks: int) -> _Helper | None:
     global _helper
     if _in_helper or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return None
-    if min(montecarlo._usable_cpus(), n_tasks) < 2 or threading.active_count() > 1:
+    if min(_usable_cpus(), n_tasks) < 2 or threading.active_count() > 1:
         return None
     if _helper is None:
         try:
@@ -117,6 +115,11 @@ def _helper_for(n_tasks: int) -> _Helper | None:
         except OSError:  # no process or pipe to be had now: this call runs serially
             return None
     return _helper
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 def _compute(fn, share: list[tuple]) -> list:
@@ -132,10 +135,10 @@ def _compute(fn, share: list[tuple]) -> list:
 
 
 def _fork() -> _Helper:
-    fds = []
+    conns = []
     try:
-        fds += os.pipe()
-        fds += os.pipe()
+        conns += Pipe(duplex=False)
+        conns += Pipe(duplex=False)
         with warnings.catch_warnings():
             # Python 3.12+ warns that forking a process with other OS threads
             # may deadlock the child; numpy's BLAS pool is such threads. The
@@ -146,14 +149,14 @@ def _fork() -> _Helper:
                                     DeprecationWarning)
             pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        for conn in conns:
+            conn.close()
         raise
-    tasks_r, tasks_w, results_r, results_w = fds
+    tasks_r, tasks_w, results_r, results_w = conns
     if pid == 0:
         _serve(tasks_r, results_w)
-    os.close(tasks_r)
-    os.close(results_w)
+    tasks_r.close()
+    results_w.close()
     return _Helper(pid, tasks_w, results_r)
 
 
@@ -168,16 +171,16 @@ def _close_all_but(*keep: int) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _serve(tasks: int, results: int) -> None:
+def _serve(tasks: Connection, results: Connection) -> None:
     """A helper's life: compute each share it reads until its pipe closes."""
     global _in_helper
     try:
         _in_helper = True
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        _close_all_but(tasks, results)
+        _close_all_but(tasks.fileno(), results.fileno())
         while True:
-            fn, share = _recv(tasks)
-            _send(results, _compute(fn, share))
+            fn, share = pickle.loads(tasks.recv_bytes())
+            results.send_bytes(pickle.dumps(_compute(fn, share), pickle.HIGHEST_PROTOCOL))
     finally:
         os._exit(0)  # at EOF or on any error: never return into the parent's stack
 
@@ -187,31 +190,9 @@ def _forget() -> None:
     close this process's copies of its pipes and leave the helper alone."""
     global _helper
     if _helper is not None:
-        os.close(_helper.tasks)
-        os.close(_helper.results)
+        _helper.tasks.close()
+        _helper.results.close()
         _helper = None
-
-
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEAD.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _recv(fd: int):
-    (size,) = _HEAD.unpack(_read(fd, _HEAD.size))
-    return pickle.loads(_read(fd, size))
-
-
-def _read(fd: int, n: int) -> bytearray:
-    data = bytearray()
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            raise EOFError("helper pipe closed")
-        data += chunk
-    return data
 
 
 atexit.register(close)

@@ -1,16 +1,20 @@
 """Analytic sweep points shared with forked helper processes.
 
-Most tests patch ``montecarlo._usable_cpus`` to 2, so that the helper is
+Most tests patch ``forkmap._usable_cpus`` to 2, so that the helper is
 forked on any machine; it then shares a CPU with the test where there is
 only one. ``conftest.py`` closes the helper before each test.
 """
 
+import array
+import ast
+import fcntl
 import math
 import os
 import select
 import signal
 import subprocess
 import sys
+import termios
 import threading
 import time
 from pathlib import Path
@@ -26,7 +30,6 @@ from fso_ber import (
     dbm_to_watts,
     derive,
     forkmap,
-    montecarlo,
     run,
     sweep,
 )
@@ -41,7 +44,7 @@ TWO = [BerMethod.EXACT, BerMethod.APPROX_NEW]  # approx-prev fails on case1
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: n)
 
 
 def _outcome(call):
@@ -208,6 +211,52 @@ def test_a_helper_dying_with_its_share_is_reaped_and_the_call_runs_serially(
     _assert_reaped_and_replaced(int(log.read_text()), args, serial)
 
 
+def _third(i):
+    return i / 3.0
+
+
+def _third_killing_the_helper_mid_message(i):
+    # the caller's first task waits until the helper has sent its results'
+    # 4-byte length and part of their pickle, which overfills the pipe, and
+    # kills it there; the helper's own forkmap._helper is None
+    helper = forkmap._helper
+    if i == 0 and helper is not None:
+        waiting = array.array("i", [0])
+        while waiting[0] <= 4:
+            time.sleep(0.001)
+            fcntl.ioctl(helper.results.fileno(), termios.FIONREAD, waiting)
+        os.kill(helper.pid, signal.SIGKILL)
+    return i / 3.0
+
+
+def test_messages_larger_than_a_pipe_buffer_cross_intact(monkeypatch):
+    # the helper's share pickles to about 100 KB and its results to 180 KB,
+    # more than a pipe holds, so each crosses in several writes and reads
+    _cpus(monkeypatch, 2)
+    tasks = [(i,) for i in range(40_000)]
+    serial = [_third(*task).hex() for task in tasks]
+    assert [x.hex() for x in forkmap.map_tasks(_third, tasks)] == serial
+    pid = forkmap._helper.pid
+    assert [x.hex() for x in forkmap.map_tasks(_third, tasks)] == serial
+    assert forkmap._helper.pid == pid
+
+
+def test_a_helper_dying_partway_through_its_results_is_reaped_and_the_call_runs_serially(
+        monkeypatch):
+    # the caller reads the start of the helper's results and then EOF, which
+    # multiprocessing.connection raises as OSError, not EOFError
+    _cpus(monkeypatch, 2)
+    assert forkmap.map_tasks(_third, [(0,), (1,)]) == [0.0, 1 / 3]
+    pid = forkmap._helper.pid
+    tasks = [(i,) for i in range(40_000)]
+    with _Deadline(60):
+        got = forkmap.map_tasks(_third_killing_the_helper_mid_message, tasks)
+    assert [x.hex() for x in got] == [_third(*task).hex() for task in tasks]
+    assert forkmap._helper is None
+    with pytest.raises(ChildProcessError):  # reaped, not left a zombie
+        os.waitpid(pid, os.WNOHANG)
+
+
 def test_every_exit_from_the_helper_goes_through_os_exit(monkeypatch, tmp_path):
     # an exception in the new helper before it serves, as a Ctrl-C landing
     # right after the fork raises, ends it there: it never unwinds into the
@@ -239,11 +288,14 @@ def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
     d = derive(link)
     first = sweep(ANALYTIC, DEFAULT_SWEEP, d, link)
     helper = forkmap._helper
+    # the child's at-fork hook closes its copies of the helper's connections,
+    # whose fileno() then raises, so the descriptors are read here
+    fds = (helper.tasks.fileno(), helper.results.fileno())
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            for fd in (helper.tasks, helper.results):
+            for fd in fds:
                 try:
                     os.fstat(fd)
                 except OSError:
@@ -265,8 +317,8 @@ def test_a_forked_child_leaves_the_parents_helper_alone(monkeypatch):
 
 SWEEP_THEN_WAIT = """
 import sys, time
-from fso_ber import PRESETS, BerMethod, LinkParams, derive, forkmap, montecarlo, sweep
-montecarlo._usable_cpus = lambda: 2
+from fso_ber import PRESETS, BerMethod, LinkParams, derive, forkmap, sweep
+forkmap._usable_cpus = lambda: 2
 link = LinkParams(**PRESETS["case1"])
 sweep([BerMethod.EXACT], (-4.0, 0.0, 1.0), derive(link), link)
 print(forkmap._helper.pid, flush=True)
@@ -404,3 +456,18 @@ def test_run_crossings_run_in_the_caller_and_match_the_serial_report(monkeypatch
     assert reports[2] == reports[1]
     assert "p_cross[exact] = " in reports[2][0]
     assert "p_cross[approx-new]" not in reports[2][0]
+
+
+def test_forkmap_imports_only_the_standard_library():
+    # so that importing it loads nothing of the package's, numpy included
+    tree = ast.parse((SRC / "fso_ber" / "forkmap.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
